@@ -8,13 +8,13 @@
 /// fixed per-thread budget of instrumented SharedVar ops against every
 /// recording scheme (null / Light / Leap / Stride / Chimera) and reports a
 /// threads x ns/op table with the scheme-specific contention signals the
-/// recorders expose — Light's optimistic-read retries and sampled stripe
-/// try_lock misses, Stride's version-validation retries, Leap's shard-lock
-/// misses. This is the measurement ROADMAP's "recorder throughput at real
-/// core counts" direction starts from: on a multi-core host the Leap/Stride
-/// curves bend up with threads while Light's stays near-flat (the paper's
-/// Section 5.2 story); on a 1-core host the kernel serializes the workers
-/// and the curves compress.
+/// recorders expose — Light's optimistic-read retries and last-write
+/// lock-bit misses, Stride's version-validation retries, Leap's sampled
+/// shard-lock misses. This is the measurement ROADMAP's "recorder
+/// throughput at real core counts" direction starts from: on a multi-core
+/// host the Leap/Stride curves bend up with threads while Light's stays
+/// near-flat (the paper's Section 5.2 story); on a 1-core host the kernel
+/// serializes the workers and the curves compress.
 ///
 /// Per-worker hardware profiles (cycles, instructions, cache misses,
 /// context switches) come from obs::PerfCounters and degrade gracefully to
@@ -52,7 +52,8 @@ namespace {
 struct CellResult {
   double ElapsedNanos = 0;
   uint64_t ReadRetries = 0;       ///< optimistic/version retries
-  uint64_t LockCollisions = 0;    ///< sampled try_lock misses
+  uint64_t LockCollisions = 0;    ///< lock misses the recorder counted
+  uint64_t CollisionScale = 64;   ///< misses per count (1-in-64 sampling)
   obs::PerfSample Perf;           ///< summed over workers
   bool PerfHardware = false;      ///< all workers on perf_event_open
 };
@@ -149,6 +150,7 @@ CellResult runRecorder(const std::string &Name, const Workload &W) {
     CellResult R = runWorkload(W, Rec);
     R.ReadRetries = Rec.readRetries();
     R.LockCollisions = Rec.stripeContentions();
+    R.CollisionScale = 1; // every lock-bit miss is counted
     Rec.finish();
     return R;
   }
@@ -241,7 +243,7 @@ int main(int argc, char **argv) {
               "scaling story needs real cores.)\n\n");
 
   Table T({"recorder", "threads", "ns/op", "Mops/s", "retries",
-           "collisions*64", "cyc/op", "ctx-sw", "perf"});
+           "collisions", "cyc/op", "ctx-sw", "perf"});
   obs::BenchReport Report("contention");
   bool ShapeHolds = true;
 
@@ -269,7 +271,7 @@ int main(int argc, char **argv) {
 
       T.addRow({Name, std::to_string(Threads), Table::fmt(NsPerOp),
                 Table::fmt(OpsPerSec / 1e6), std::to_string(R.ReadRetries),
-                std::to_string(R.LockCollisions * 64),
+                std::to_string(R.LockCollisions * R.CollisionScale),
                 Table::fmt(CyclesPerOp),
                 std::to_string(R.Perf.ContextSwitches),
                 R.PerfHardware ? "hw" : "fallback"});
@@ -292,8 +294,9 @@ int main(int argc, char **argv) {
     }
   }
   std::printf("%s\n", T.render().c_str());
-  std::printf("collisions*64: sampled 1-in-64 try_lock misses scaled back "
-              "up; retries: Light optimistic-read /\nStride "
+  std::printf("collisions: lock misses (Light's last-write lock bit, "
+              "every miss; Leap/Stride sampled 1-in-64, scaled back up);\n"
+              "retries: Light optimistic-read / Stride "
               "version-validation retries. Shape check (all cells timed, "
               "thread counts ascending): %s\n",
               ShapeHolds ? "HOLDS" : "VIOLATED");

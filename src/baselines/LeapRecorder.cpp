@@ -25,8 +25,8 @@ void LeapRecorder::record(ThreadId T, LocationId L,
   // Leap's critical section: the program access and the access-vector
   // append run under the location's lock so the recorded order reflects
   // the true access order (Section 2.2). Contention probe sampled 1-in-64
-  // by the per-thread counter, mirroring LightRecorder's stripe probe so
-  // the bench_contention collision columns are comparable.
+  // by the per-thread counter: an unconditional try_lock would slow the
+  // very lock path it measures.
   std::unique_lock<std::mutex> Guard(S.M, std::defer_lock);
   if ((C & 63) == 0) {
     if (!Guard.try_lock()) {

@@ -71,8 +71,9 @@ public:
 
   uint64_t longIntegersRecorded() const;
 
-  /// Sampled shard-lock try_lock misses (1-in-64 probe, same sampling as
-  /// LightRecorder's stripe probe so the two are directly comparable).
+  /// Sampled shard-lock try_lock misses (1-in-64 probe). LightRecorder's
+  /// stripeContentions() counts every lock-bit miss, so scale this by 64
+  /// before comparing the two.
   uint64_t lockContentions() const;
 
 private:

@@ -50,16 +50,20 @@ struct LightOptions {
   /// every completed epoch into a LIGHT002 durable log (see
   /// support/DurableLog.h) as a checksummed segment, flushed to the OS at
   /// the epoch boundary — a crashed or SIGKILL'd process leaves a
-  /// salvageable prefix covering all closed epochs. An epoch closes once
-  /// this many records (spans + syscalls) are pending in a thread; 0
-  /// disables the count trigger. Epoch durability is on when either
-  /// EpochSpans or EpochMs is set, and the machinery stays off the
-  /// per-access hot path either way.
+  /// salvageable prefix covering all closed epochs. An epoch falls due once
+  /// this many records (spans + syscalls) are pending in a thread, and
+  /// closes at the thread's first lock-free point after that: a thread
+  /// holding a program lock (counted from the ghost lock accesses) defers
+  /// the flush to its next access outside every lock, or to its end, unless
+  /// 4x the threshold piles up first. 0 disables the count trigger. Epoch
+  /// durability is on when either EpochSpans or EpochMs is set, and the
+  /// machinery stays off the per-access hot path either way.
   size_t EpochSpans = 0;
 
-  /// Also close an epoch once this many milliseconds have passed since the
-  /// thread's last durable flush (checked when spans close, so an idle
-  /// thread writes nothing). 0 disables the time trigger.
+  /// Also let an epoch fall due once this many milliseconds have passed
+  /// since the thread's last durable flush (checked when spans close, so an
+  /// idle thread writes nothing); it closes at the next lock-free point,
+  /// as above (deferred at most 4x this long). 0 disables the time trigger.
   uint64_t EpochMs = 0;
 
   /// Target file for the durable epoch log; empty selects a temp path.
@@ -73,12 +77,12 @@ struct LightOptions {
   /// epoch durability is on.
   bool CompressedEpochs = false;
 
-  /// Collect the optional hot-path telemetry (stripe-contention counting via
-  /// a try_lock probe sampled on 1/64 accesses). Everything else — span
-  /// merges, retries, O2 elisions — rides on fields the recorder maintains
-  /// anyway; this flag only gates the sampled probe in the write critical
-  /// section. The overhead budget for the whole layer is <= 1% on
-  /// bench_micro_recorders.
+  /// Collect the optional hot-path telemetry (write-contention counting:
+  /// every failed attempt to take a location's last-write lock bit).
+  /// Everything else — span merges, retries, O2 elisions — rides on fields
+  /// the recorder maintains anyway; this flag only gates the tally in the
+  /// write path's contended branch. The overhead budget for the whole layer
+  /// is <= 1% on bench_micro_recorders.
   bool Telemetry = true;
 
   /// Named presets matching the paper's ablation (Section 5.4).

@@ -12,8 +12,47 @@
 
 #include <cassert>
 #include <mutex>
+#include <thread>
+#include <utility>
 
 using namespace light;
+
+namespace {
+
+/// The write lock bit of LocMeta::LastWrite. A packed AccessId holds its
+/// thread id (< MaxThreads = 2^10) in bits 48..57, so bit 63 is free.
+constexpr uint64_t LockBit = 1ull << 63;
+static_assert(MaxThreads <= (1u << 15), "thread ids would reach the lock bit");
+
+/// Spin-then-yield backoff for the lock-bit protocol. A writer holds the bit
+/// for a handful of instructions, so a short pause loop covers the common
+/// case; past that the holder has likely been preempted, and spinning on
+/// would only keep it off the core.
+inline void backoff(unsigned &Spins) {
+  if (++Spins < 64) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  } else {
+    std::this_thread::yield();
+  }
+}
+
+/// Makes \p T the location's last accessor and returns the previous one.
+/// The seq_cst load (a plain load on x86) skips the locked exchange when
+/// the mark is already T's, as it is on every access but the first of a
+/// burst.
+inline uint32_t takeAccessor(LocMeta &M, ThreadId T) {
+  uint32_t Prev = M.LastAccessor.load(std::memory_order_seq_cst);
+  return Prev == T + 1u ? Prev : M.LastAccessor.exchange(T + 1u);
+}
+
+/// How far past its threshold an epoch may be deferred inside a lock
+/// section before it flushes anyway, so a thread that never leaves its
+/// locks still bounds what a crash can lose.
+constexpr unsigned DeferredEpochCap = 4;
+
+} // namespace
 
 /// One epoch segment under construction. Dispatches each section to the
 /// LIGHT002 word encoders or the LIGHT003 varint encoder; either way a
@@ -77,17 +116,36 @@ void LightRecorder::attachRegistry(const ThreadRegistry *Registry) {
 
 Counter LightRecorder::counterOf(ThreadId T) const { return state(T).Ctr; }
 
-LightRecorder::OpenSpan &LightRecorder::spanFor(PerThread &S, LocationId L) {
-  // unordered_map references are stable across inserts, so the one-entry
-  // cache stays valid until the map is cleared.
-  if (S.CachedLoc == L && S.CachedSpan)
-    return *S.CachedSpan;
-  OpenSpan &Sp = S.Open[L];
-  S.CachedLoc = L;
-  S.CachedSpan = &Sp;
-  return Sp;
+LightRecorder::OpenSpan &LightRecorder::SpanTable::insert(LocationId L) {
+  assert(L != InvalidLocation && "InvalidLocation marks empty slots");
+  // Grow at half load: probe runs stay short, and a miss (first touch of a
+  // location) is the only path that pays for it.
+  if (2 * (Used + 1) > Slots.size()) {
+    std::vector<Slot> Old = std::exchange(
+        Slots, std::vector<Slot>(Slots.empty() ? 16 : 2 * Slots.size()));
+    Shift = 64 - static_cast<unsigned>(__builtin_ctzll(Slots.size()));
+    for (Slot &Sl : Old)
+      if (Sl.Loc != InvalidLocation) {
+        size_t I = slotOf(Sl.Loc);
+        while (Slots[I].Loc != InvalidLocation)
+          I = (I + 1) & (Slots.size() - 1);
+        Slots[I] = Sl;
+      }
+  }
+  size_t I = slotOf(L);
+  while (Slots[I].Loc != InvalidLocation)
+    I = (I + 1) & (Slots.size() - 1);
+  Slots[I].Loc = L;
+  ++Used;
+  Last = &Slots[I];
+  return Last->Span;
 }
 
+void LightRecorder::closeAllSpans(PerThread &S, ThreadId T) {
+  S.Open.forEach(
+      [&](LocationId L, OpenSpan &Sp) { closeSpan(S, T, L, Sp); });
+  S.Open.clear();
+}
 
 void LightRecorder::closeSpan(PerThread &S, ThreadId T, LocationId L,
                               OpenSpan &Sp) {
@@ -110,7 +168,7 @@ void LightRecorder::closeSpan(PerThread &S, ThreadId T, LocationId L,
   D.Thread = T;
   D.First = Sp.First;
   D.Last = Sp.Last;
-  S.Buffer.push_back(D);
+  S.Spans.push_back(D);
   Sp.Active = false;
   obs::Tracer &Tr = obs::Tracer::global();
   if (Tr.enabled())
@@ -122,7 +180,8 @@ void LightRecorder::closeSpan(PerThread &S, ThreadId T, LocationId L,
 }
 
 void LightRecorder::maybeFlush(PerThread &S, ThreadId T) {
-  if (!Opts.WriteToDisk || S.Buffer.size() < Opts.FlushThresholdSpans)
+  if (!Opts.WriteToDisk ||
+      S.Spans.size() - S.DiskSpans < Opts.FlushThresholdSpans)
     return;
   if (!S.Writer) {
     std::string Stem = "light-t" + std::to_string(T);
@@ -131,7 +190,8 @@ void LightRecorder::maybeFlush(PerThread &S, ThreadId T) {
                            : Opts.LogDir + "/" + Stem + ".log";
     S.Writer = std::make_unique<LongWriter>(Path);
   }
-  for (const DepSpan &D : S.Buffer) {
+  for (size_t I = S.DiskSpans; I < S.Spans.size(); ++I) {
+    const DepSpan &D = S.Spans[I];
     S.Writer->put(D.Loc);
     S.Writer->put(D.Src.valid() ? D.Src.pack() : 0);
     S.Writer->put(AccessId(D.Thread, D.First).pack() |
@@ -139,43 +199,52 @@ void LightRecorder::maybeFlush(PerThread &S, ThreadId T) {
     S.Writer->put(D.Last);
   }
   S.Writer->flush();
-  S.Archived.insert(S.Archived.end(), S.Buffer.begin(), S.Buffer.end());
-  S.Buffer.clear();
+  S.DiskSpans = S.Spans.size();
 }
 
 // --- Epoch durability -------------------------------------------------------
 //
 // Everything below is reached only from span-close and syscall paths when
-// EpochSpans/EpochMs enable it — never from the per-access protocol — so the
-// recording overhead the paper measures is untouched by default.
+// EpochSpans/EpochMs enable it, plus one flag test per access for a
+// deferred epoch — so the recording overhead the paper measures is
+// untouched by default.
+//
+// An epoch closes at the first lock-free point after its threshold: when it
+// falls due while the thread holds a program lock (LockDepth > 0), the
+// flush — encode, checksum, write — waits for the thread's next access
+// outside every lock (or its onThreadFinish), so the other threads never
+// stall on a lock whose holder is busy writing the log. A deferral that
+// reaches DeferredEpochCap times the threshold flushes in place.
+
+bool LightRecorder::epochDue(const PerThread &S, size_t Pending,
+                             unsigned Scale) const {
+  if (Opts.EpochSpans && Pending >= Scale * Opts.EpochSpans)
+    return true;
+  return Opts.EpochMs && std::chrono::steady_clock::now() - S.LastEpoch >=
+                             std::chrono::milliseconds(Scale * Opts.EpochMs);
+}
 
 void LightRecorder::maybeEpochFlush(PerThread &S, ThreadId T) {
-  size_t Pending = S.Archived.size() + S.Buffer.size() - S.DurableSpans +
+  size_t Pending = S.Spans.size() - S.DurableSpans +
                    (S.Syscalls.size() - S.DurableSyscalls);
-  if (!Pending)
+  if (!Pending || !epochDue(S, Pending, 1))
     return;
-  bool Due = Opts.EpochSpans && Pending >= Opts.EpochSpans;
-  if (!Due && Opts.EpochMs)
-    Due = std::chrono::steady_clock::now() - S.LastEpoch >=
-          std::chrono::milliseconds(Opts.EpochMs);
-  if (Due)
-    flushEpoch(S, T);
+  if (S.LockDepth && !epochDue(S, Pending, DeferredEpochCap)) {
+    if (!S.EpochDeferred) {
+      S.EpochDeferred = true;
+      ++S.EpochsDeferred;
+    }
+    return;
+  }
+  flushEpoch(S, T);
 }
 
 void LightRecorder::appendPendingSections(SegmentDraft &Draft, PerThread &S,
                                           ThreadId T) {
-  size_t Total = S.Archived.size() + S.Buffer.size();
-  if (S.DurableSpans < Total) {
-    // Spans emit in stable Archived-then-Buffer order; gather the suffix
-    // that postdates the last durable flush.
-    std::vector<DepSpan> Fresh;
-    Fresh.reserve(Total - S.DurableSpans);
-    for (size_t I = S.DurableSpans; I < Total; ++I)
-      Fresh.push_back(I < S.Archived.size()
-                          ? S.Archived[I]
-                          : S.Buffer[I - S.Archived.size()]);
-    Draft.spans(Fresh.data(), Fresh.size());
-    S.DurableSpans = Total;
+  if (S.DurableSpans < S.Spans.size()) {
+    Draft.spans(S.Spans.data() + S.DurableSpans,
+                S.Spans.size() - S.DurableSpans);
+    S.DurableSpans = S.Spans.size();
   }
   if (S.DurableSyscalls < S.Syscalls.size()) {
     Draft.syscalls(S.Syscalls.data() + S.DurableSyscalls,
@@ -184,9 +253,12 @@ void LightRecorder::appendPendingSections(SegmentDraft &Draft, PerThread &S,
   }
   Draft.counters({{T, S.Ctr}});
   S.LastEpoch = std::chrono::steady_clock::now();
+  S.EpochDeferred = false;
 }
 
 void LightRecorder::flushEpoch(PerThread &S, ThreadId T) {
+  if (OnEpochFlush)
+    OnEpochFlush(T);
   SegmentDraft Draft(Opts.CompressedEpochs);
   appendPendingSections(Draft, S, T);
   // The spawn table rides along on every epoch (replace semantics) so a
@@ -260,11 +332,7 @@ bool LightRecorder::crashFlush() {
   SegmentDraft Draft(Opts.CompressedEpochs);
   for (uint32_t T = 0; T < MaxThreads; ++T) {
     PerThread &S = *Threads[T];
-    for (auto &[L, Sp] : S.Open)
-      closeSpan(S, static_cast<ThreadId>(T), L, Sp);
-    S.Open.clear();
-    S.CachedLoc = InvalidLocation;
-    S.CachedSpan = nullptr;
+    closeAllSpans(S, static_cast<ThreadId>(T));
     if (S.Ctr || S.DurableSyscalls < S.Syscalls.size())
       appendPendingSections(Draft, S, static_cast<ThreadId>(T));
   }
@@ -285,10 +353,34 @@ bool LightRecorder::crashFlush() {
 }
 
 // --- The recording protocol ------------------------------------------------
+//
+// The last-write word lw doubles as a per-location seqlock. A writer sets
+// LockBit with one CAS, performs the program store, takes the
+// last-accessor mark, and publishes its packed AccessId with a release
+// store that also clears the bit. A reader waits out a set bit, performs
+// the program load, and re-checks lw (Section 2.3's optimistic protocol).
+//
+// Ordering. The writer's CAS and mark load and the reader's mark store and
+// re-check load are seq_cst (on x86 the same instructions as acquire and
+// plain loads): a reader that marks LastAccessor and then re-validates lw
+// unchanged is ordered before the next writer's CAS, so that writer sees
+// the mark and closes its O1 span. The writer takes the mark *before*
+// publishing, so a reader that observed the new id marks after it and the
+// writer's following write sees that mark.
 
 void LightRecorder::onWrite(ThreadId T, LocationId L, LocMeta &M,
                             FunctionRef<void()> Perform) {
   PerThread &S = state(T);
+  flushDeferredEpoch(S, T);
+  recordWrite(S, T, L, M, Perform);
+  // A ghost lock-word write is a release (Section 4.3). The depth drops
+  // only now, so spans the release itself closed still see the lock held.
+  if (loc::kindOf(L) == LocationKind::Lock && S.LockDepth)
+    --S.LockDepth;
+}
+
+void LightRecorder::recordWrite(PerThread &S, ThreadId T, LocationId L,
+                                LocMeta &M, FunctionRef<void()> Perform) {
   Counter C = ++S.Ctr;
   if (C > MaxAccessCounter) {
     counterSaturated(T);
@@ -302,35 +394,32 @@ void LightRecorder::onWrite(ThreadId T, LocationId L, LocMeta &M,
     Perform();
     return;
   }
-  uint32_t PrevAccessor;
-  {
-    // "The simple update (lw_l = n) is placed in the same atomic section
-    // with the shared access from [the] program" — Section 2.3.
-    std::unique_lock<std::mutex> Guard(Stripes.stripeFor(L),
-                                       std::defer_lock);
-    // Contention probe, sampled 1/64 by the per-thread access counter: an
-    // unconditional try_lock costs ~40% on this fast path (pthread trylock
-    // is slower than the lock fast path), which would distort the very
-    // overhead Figs. 4/7 measure. Sampling keeps the signal within the
-    // <= 1% telemetry budget; finish() publishes the raw sampled count.
-    if (Opts.Telemetry && (C & 63) == 0) {
-      if (!Guard.try_lock()) {
-        ++S.StripeContended;
-        Guard.lock();
-      }
-    } else {
-      Guard.lock();
-    }
-    Perform();
-    M.LastWrite.store(AccessId(T, C).pack());
-    PrevAccessor = M.LastAccessor.exchange(T + 1u);
+  // "The simple update (lw_l = n) is placed in the same atomic section
+  // with the shared access from [the] program" — Section 2.3. The lock bit
+  // is that section.
+  uint64_t Cur = M.LastWrite.load(std::memory_order_relaxed);
+  unsigned Spins = 0;
+  while ((Cur & LockBit) ||
+         !M.LastWrite.compare_exchange_weak(Cur, Cur | LockBit,
+                                            std::memory_order_seq_cst,
+                                            std::memory_order_relaxed)) {
+    S.StripeContended += Opts.Telemetry;
+    backoff(Spins);
+    Cur = M.LastWrite.load(std::memory_order_relaxed);
   }
+  // Keeps the program store after the bit for a reader's fence-validated
+  // re-check (the seqlock writer's fence).
+  std::atomic_thread_fence(std::memory_order_release);
+  Perform();
+  uint32_t PrevAccessor = takeAccessor(M, T);
+  M.LastWrite.store(AccessId(T, C).pack(), std::memory_order_release);
   noteWrite(S, T, L, C, PrevAccessor);
 }
 
 void LightRecorder::onRead(ThreadId T, LocationId L, LocMeta &M,
                            FunctionRef<void()> Perform) {
   PerThread &S = state(T);
+  flushDeferredEpoch(S, T);
   Counter C = ++S.Ctr;
   if (C > MaxAccessCounter) {
     counterSaturated(T);
@@ -345,15 +434,22 @@ void LightRecorder::onRead(ThreadId T, LocationId L, LocMeta &M,
   // Optimistic write/read matching (Section 2.3): snapshot lw, perform the
   // read, re-check lw; retry when a write slipped in between. Only a
   // *foreign* reader leaves the last-accessor mark (it is the one event
-  // that must close the writer's O1 span); the common same-thread burst
-  // path stays free of shared stores.
+  // that must close the writer's O1 span), and only when the mark is not
+  // already its own, so a burst of reads stays free of shared stores.
   uint64_t N1, N2;
+  unsigned Spins = 0;
   while (true) {
-    N1 = M.LastWrite.load();
-    if (N1 != 0 && AccessId::unpack(N1).Thread != T)
+    N1 = M.LastWrite.load(std::memory_order_acquire);
+    if (N1 & LockBit) {
+      backoff(Spins);
+      continue;
+    }
+    if (N1 != 0 && AccessId::unpack(N1).Thread != T &&
+        M.LastAccessor.load(std::memory_order_relaxed) != T + 1u)
       M.LastAccessor.store(T + 1u);
     Perform();
-    N2 = M.LastWrite.load();
+    std::atomic_thread_fence(std::memory_order_acquire);
+    N2 = M.LastWrite.load(std::memory_order_seq_cst);
     if (N1 == N2)
       break;
     ++S.Retries;
@@ -367,6 +463,16 @@ void LightRecorder::onRead(ThreadId T, LocationId L, LocMeta &M,
 void LightRecorder::onRmw(ThreadId T, LocationId L, LocMeta &M,
                           FunctionRef<void()> Perform) {
   PerThread &S = state(T);
+  flushDeferredEpoch(S, T);
+  // A ghost lock-word RMW is an acquisition (Section 4.3); the depth rises
+  // before Perform, so nothing this access closes flushes inside the lock.
+  if (loc::kindOf(L) == LocationKind::Lock)
+    ++S.LockDepth;
+  recordRmw(S, T, L, M, Perform);
+}
+
+void LightRecorder::recordRmw(PerThread &S, ThreadId T, LocationId L,
+                              LocMeta &M, FunctionRef<void()> Perform) {
   Counter C = ++S.Ctr;
   if (C > MaxAccessCounter) {
     counterSaturated(T);
@@ -380,11 +486,12 @@ void LightRecorder::onRmw(ThreadId T, LocationId L, LocMeta &M,
   }
   // Lock acquisition et al.: the ghost read+write run inside the lock
   // region, which already provides the atomicity Algorithm 1 needs
-  // (Section 4.3) — no striped lock required.
+  // (Section 4.3) — no lock bit required.
   Perform();
-  uint64_t Src = M.LastWrite.load();
-  M.LastWrite.store(AccessId(T, C).pack());
-  uint32_t PrevAccessor = M.LastAccessor.exchange(T + 1u);
+  uint64_t Src = M.LastWrite.load(std::memory_order_acquire);
+  assert(!(Src & LockBit) && "RMW raced a write on the same location");
+  uint32_t PrevAccessor = takeAccessor(M, T);
+  M.LastWrite.store(AccessId(T, C).pack(), std::memory_order_release);
   noteRmw(S, T, L, Src, C, PrevAccessor);
 }
 
@@ -392,7 +499,7 @@ void LightRecorder::onRmw(ThreadId T, LocationId L, LocMeta &M,
 
 void LightRecorder::noteRead(PerThread &S, ThreadId T, LocationId L,
                              uint64_t Src, Counter C, uint32_t PrevAccessor) {
-  OpenSpan &Sp = spanFor(S, L);
+  OpenSpan &Sp = S.Open[L];
   if (Sp.Active) {
     // prec hit (Algorithm 1 lines 7-9): same source as the previous read.
     if ((Sp.Kind == SpanKind::Read || Sp.Kind == SpanKind::Init) &&
@@ -424,7 +531,7 @@ void LightRecorder::noteRead(PerThread &S, ThreadId T, LocationId L,
 
 void LightRecorder::noteWrite(PerThread &S, ThreadId T, LocationId L,
                               Counter C, uint32_t PrevAccessor) {
-  OpenSpan &Sp = spanFor(S, L);
+  OpenSpan &Sp = S.Open[L];
   if (Sp.Active) {
     if (Opts.EnableO1 && Sp.Kind == SpanKind::Own &&
         (PrevAccessor == 0 || PrevAccessor == T + 1u)) {
@@ -445,7 +552,7 @@ void LightRecorder::noteWrite(PerThread &S, ThreadId T, LocationId L,
 
 void LightRecorder::noteRmw(PerThread &S, ThreadId T, LocationId L,
                             uint64_t Src, Counter C, uint32_t PrevAccessor) {
-  OpenSpan &Sp = spanFor(S, L);
+  OpenSpan &Sp = S.Open[L];
   // Channel ghost RMWs are the anchor points of cross-node send->recv edges
   // (dist/NodeSet): each must surface as its own span endpoint — i.e. an
   // order variable in the merged constraint system — so O1 never compresses
@@ -509,27 +616,30 @@ void LightRecorder::onMessage(ThreadId T, uint32_t Chan, uint64_t Seq,
 
 void LightRecorder::onThreadFinish(ThreadId T) {
   PerThread &S = state(T);
-  for (auto &[L, Sp] : S.Open)
-    closeSpan(S, T, L, Sp);
-  S.Open.clear();
-  S.CachedLoc = InvalidLocation;
-  S.CachedSpan = nullptr;
+  closeAllSpans(S, T);
+  // A thread that ends inside a lock section still flushes its deferred
+  // epoch here, so deferral never outlives the thread.
+  if (S.EpochDeferred)
+    flushEpoch(S, T);
 }
 
 RecordingLog LightRecorder::finish(const ThreadRegistry *Registry) {
   RecordingLog Log;
   Counter MaxThread = 0;
+  size_t TotalSpans = 0, TotalSyscalls = 0;
   for (uint32_t T = 0; T < MaxThreads; ++T) {
     PerThread &S = *Threads[T];
-    for (auto &[L, Sp] : S.Open)
-      closeSpan(S, static_cast<ThreadId>(T), L, Sp);
-    S.Open.clear();
-    S.CachedLoc = InvalidLocation;
-    S.CachedSpan = nullptr;
+    closeAllSpans(S, static_cast<ThreadId>(T));
+    TotalSpans += S.Spans.size();
+    TotalSyscalls += S.Syscalls.size();
+  }
+  Log.Spans.reserve(TotalSpans);
+  Log.Syscalls.reserve(TotalSyscalls);
+  for (uint32_t T = 0; T < MaxThreads; ++T) {
+    PerThread &S = *Threads[T];
     if (S.Ctr)
       MaxThread = T;
-    Log.Spans.insert(Log.Spans.end(), S.Archived.begin(), S.Archived.end());
-    Log.Spans.insert(Log.Spans.end(), S.Buffer.begin(), S.Buffer.end());
+    Log.Spans.insert(Log.Spans.end(), S.Spans.begin(), S.Spans.end());
     Log.Syscalls.insert(Log.Syscalls.end(), S.Syscalls.begin(),
                         S.Syscalls.end());
     if (S.Writer) {
@@ -551,7 +661,7 @@ RecordingLog LightRecorder::finish(const ThreadRegistry *Registry) {
     SegmentDraft Draft(Opts.CompressedEpochs);
     for (uint32_t T = 0; T < MaxThreads; ++T) {
       PerThread &S = *Threads[T];
-      if (S.Ctr || S.DurableSpans < S.Archived.size() + S.Buffer.size() ||
+      if (S.Ctr || S.DurableSpans < S.Spans.size() ||
           S.DurableSyscalls < S.Syscalls.size())
         appendPendingSections(Draft, S, static_cast<ThreadId>(T));
     }
@@ -571,13 +681,15 @@ RecordingLog LightRecorder::finish(const ThreadRegistry *Registry) {
 
   // Publish the per-thread tallies into the process registry. This is the
   // only place recording telemetry touches shared metric storage.
-  uint64_t Accesses = 0, Merges = 0, Retries = 0, Elided = 0, Contended = 0;
+  uint64_t Accesses = 0, Merges = 0, Retries = 0, Elided = 0, Contended = 0,
+           Deferred = 0;
   for (const auto &S : Threads) {
     Accesses += S->Ctr;
     Merges += S->SpanMerges;
     Retries += S->Retries;
     Elided += S->GuardedElided;
     Contended += S->StripeContended;
+    Deferred += S->EpochsDeferred;
   }
   obs::Registry &Reg = obs::Registry::global();
   Reg.counter("record.accesses").add(Accesses);
@@ -586,6 +698,7 @@ RecordingLog LightRecorder::finish(const ThreadRegistry *Registry) {
   Reg.counter("record.read_retries").add(Retries);
   Reg.counter("record.elided_guarded").add(Elided);
   Reg.counter("record.stripe_contention").add(Contended);
+  Reg.counter("record.epochs_deferred").add(Deferred);
   Reg.counter("record.syscalls").add(Log.Syscalls.size());
   Reg.counter("record.long_integers").add(longIntegersRecorded());
   return Log;
@@ -594,8 +707,7 @@ RecordingLog LightRecorder::finish(const ThreadRegistry *Registry) {
 uint64_t LightRecorder::longIntegersRecorded() const {
   uint64_t Total = 0;
   for (const auto &S : Threads)
-    Total += (S->Archived.size() + S->Buffer.size()) * 4 +
-             S->Syscalls.size() * 2;
+    Total += S->Spans.size() * 4 + S->Syscalls.size() * 2;
   return Total;
 }
 
@@ -610,5 +722,12 @@ uint64_t LightRecorder::stripeContentions() const {
   uint64_t Total = 0;
   for (const auto &S : Threads)
     Total += S->StripeContended;
+  return Total;
+}
+
+uint64_t LightRecorder::epochsDeferred() const {
+  uint64_t Total = 0;
+  for (const auto &S : Threads)
+    Total += S->EpochsDeferred;
   return Total;
 }

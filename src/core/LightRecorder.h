@@ -9,10 +9,13 @@
 /// optimizations:
 ///
 ///  * Every shared access bumps the thread-local counter D(t).
-///  * Writes update the location's last-write word lw inside a striped-lock
-///    atomic section (Section 4.1).
-///  * Reads obtain lw via the optimistic retry protocol of Section 2.3
-///    (snapshot lw, perform the read, re-check lw, retry on change).
+///  * Writes update the location's last-write word lw inside an atomic
+///    section guarded by a lock bit folded into lw itself (bit 63; a packed
+///    AccessId never uses it), taken with one CAS. This replaces the 2^10
+///    striped mutexes of Section 4.1 at zero extra space.
+///  * Reads obtain lw via the optimistic retry protocol of Section 2.3 —
+///    a seqlock over lw: snapshot lw (waiting out a set lock bit), perform
+///    the read, re-check lw, retry on change.
 ///  * Detected flow dependences are recorded in *thread-local* buffers
 ///    without synchronization — the paper's key cost insight — and merged
 ///    only at finish().
@@ -25,6 +28,11 @@
 ///  * Buffers are flushed to disk once they exceed a threshold, mirroring
 ///    the buffered dump configuration of Section 5.2; the long-integer
 ///    space accounting comes from the serialized words.
+///  * Durable epochs (LightOptions::EpochSpans/EpochMs) never flush inside
+///    a program lock section: the recorder counts each thread's held-lock
+///    depth from the ghost lock accesses (Section 4.3) and defers an epoch
+///    that falls due inside a section to the thread's first access outside
+///    every lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +41,6 @@
 
 #include "core/LightOptions.h"
 #include "runtime/AccessHook.h"
-#include "runtime/LockStripes.h"
 #include "runtime/ThreadRegistry.h"
 #include "support/BinaryIO.h"
 #include "support/DurableLog.h"
@@ -42,9 +49,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -120,9 +127,20 @@ public:
   /// the loop yields few retries in practice; tests check that).
   uint64_t readRetries() const;
 
-  /// Sampled write-stripe try_lock misses (1-in-64 probe, Telemetry only).
-  /// Multiply by 64 for an order-of-magnitude contention estimate.
+  /// Write-path lock-bit acquisition failures: each failed CAS on (or wait
+  /// behind) another writer's lock bit in a location's last-write word
+  /// counts once. Collected only with LightOptions::Telemetry. (The name
+  /// predates the lock bit, when writes took striped mutexes.)
   uint64_t stripeContentions() const;
+
+  /// Epochs that fell due inside a program lock section and were deferred
+  /// to the thread's next lock-free point (also published at finish() as
+  /// record.epochs_deferred).
+  uint64_t epochsDeferred() const;
+
+  /// Locks thread \p T currently holds, counted from its ghost lock
+  /// acquire RMWs and release writes. 0 at every lock-free point.
+  uint32_t heldLockDepth(ThreadId T) const { return state(T).LockDepth; }
 
   /// True once any record exceeded a wire width (the trace/Ids.h Max*
   /// limits): the access counter saturated, or an epoch section failed to
@@ -141,6 +159,13 @@ public:
   /// counter-saturation guard is reachable without 2^48 real accesses.
   void debugSetCounter(ThreadId T, Counter C) { state(T).Ctr = C; }
 
+  /// Test seam: \p Fn(T) runs right before thread \p T's epoch segment is
+  /// written, on the thread writing it (not for the combined final segment
+  /// of finish() or crashFlush()).
+  void debugOnEpochFlush(std::function<void(ThreadId)> Fn) {
+    OnEpochFlush = std::move(Fn);
+  }
+
 private:
   struct OpenSpan {
     bool Active = false;
@@ -151,21 +176,76 @@ private:
     Counter Last = 0;
   };
 
+  /// One thread's open spans keyed by location: a flat linear-probing
+  /// table (power-of-two capacity, InvalidLocation marks an empty slot).
+  /// Entries are never erased while the thread runs — a closed span only
+  /// goes inactive — so probes never meet tombstones. The last slot found
+  /// is remembered: bursts (Figure 2) hit one location many times in a
+  /// row, and the check is cheaper than the hash.
+  class SpanTable {
+  public:
+    OpenSpan &operator[](LocationId L) {
+      if (Last && Last->Loc == L)
+        return Last->Span;
+      if (!Slots.empty())
+        for (size_t I = slotOf(L);; I = (I + 1) & (Slots.size() - 1)) {
+          if (Slots[I].Loc == L) {
+            Last = &Slots[I];
+            return Last->Span;
+          }
+          if (Slots[I].Loc == InvalidLocation)
+            break;
+        }
+      return insert(L);
+    }
+
+    /// Calls \p Fn(Loc, Span) for every entry, in slot order.
+    template <typename Fn> void forEach(Fn F) {
+      for (Slot &Sl : Slots)
+        if (Sl.Loc != InvalidLocation)
+          F(Sl.Loc, Sl.Span);
+    }
+
+    void clear() {
+      Last = nullptr;
+      Slots.clear();
+      Used = 0;
+    }
+
+  private:
+    struct Slot {
+      LocationId Loc = InvalidLocation;
+      OpenSpan Span;
+    };
+    std::vector<Slot> Slots;
+    Slot *Last = nullptr; ///< last slot found; reset when Slots moves
+    size_t Used = 0;
+    unsigned Shift = 64;
+
+    size_t slotOf(LocationId L) const {
+      return static_cast<size_t>((L * 0x9e3779b97f4a7c15ull) >> Shift);
+    }
+    OpenSpan &insert(LocationId L);
+  };
+
   struct alignas(64) PerThread {
     Counter Ctr = 0;
-    /// One-entry cache over Open: bursty access runs (Figure 2) hit the
-    /// same location repeatedly, skipping the hash lookup.
-    LocationId CachedLoc = InvalidLocation;
-    OpenSpan *CachedSpan = nullptr;
-    std::unordered_map<LocationId, OpenSpan> Open;
-    std::vector<DepSpan> Buffer;
-    std::vector<DepSpan> Archived; ///< flushed to disk, kept for finish()
+    /// Locks held (ghost lock RMWs minus ghost lock release writes).
+    uint32_t LockDepth = 0;
+    /// An epoch fell due inside a lock section; flush at the next access
+    /// with LockDepth == 0.
+    bool EpochDeferred = false;
+    SpanTable Open;
+    /// Every closed span in emission order. The durable-epoch suffix
+    /// [DurableSpans, size) and the disk-dump suffix [DiskSpans, size) are
+    /// both contiguous, so neither needs a gathering copy.
+    std::vector<DepSpan> Spans;
+    size_t DiskSpans = 0; ///< prefix already dumped to Writer (Section 5.2)
     std::vector<SyscallRecord> Syscalls;
     std::unique_ptr<LongWriter> Writer;
     uint64_t Retries = 0;
     // Epoch durability bookkeeping: how much of this thread's output is
-    // already in the durable log. DurableSpans indexes the stable
-    // Archived-then-Buffer emission order.
+    // already in the durable log.
     size_t DurableSpans = 0;
     size_t DurableSyscalls = 0;
     std::chrono::steady_clock::time_point LastEpoch =
@@ -175,11 +255,11 @@ private:
     // registry sees these only when finish() publishes them.
     uint64_t SpanMerges = 0;      ///< O1/prec extensions of an open span
     uint64_t GuardedElided = 0;   ///< accesses skipped via O2 (Lemma 4.2)
-    uint64_t StripeContended = 0; ///< write-stripe try_lock misses
+    uint64_t StripeContended = 0; ///< write-path lock-bit CAS failures
+    uint64_t EpochsDeferred = 0;  ///< epochs deferred out of lock sections
   };
 
   LightOptions Opts;
-  LockStripes Stripes;
   std::vector<std::unique_ptr<PerThread>> Threads;
   GuardSpec Guards;
 
@@ -195,6 +275,8 @@ private:
   mutable std::mutex OverflowMutex; ///< guards OverflowWhat
   std::string OverflowWhat;
 
+  std::function<void(ThreadId)> OnEpochFlush; ///< debugOnEpochFlush seam
+
   std::mutex MsgMutex; ///< serializes message-log appends across threads
   std::unique_ptr<MessageLogWriter> MsgLog; ///< guarded by MsgMutex
 
@@ -209,10 +291,22 @@ private:
     return Opts.EnableO2 && !Guards.empty() && Guards.covers(L);
   }
 
-  OpenSpan &spanFor(PerThread &S, LocationId L);
+  /// Runs a deferred epoch flush once the thread is outside every lock.
+  /// Called at the entry of each access, before its Perform.
+  void flushDeferredEpoch(PerThread &S, ThreadId T) {
+    if (S.EpochDeferred && S.LockDepth == 0)
+      flushEpoch(S, T);
+  }
+
+  void recordWrite(PerThread &S, ThreadId T, LocationId L, LocMeta &M,
+                   FunctionRef<void()> Perform);
+  void recordRmw(PerThread &S, ThreadId T, LocationId L, LocMeta &M,
+                 FunctionRef<void()> Perform);
+  void closeAllSpans(PerThread &S, ThreadId T);
   void closeSpan(PerThread &S, ThreadId T, LocationId L, OpenSpan &Sp);
   void maybeFlush(PerThread &S, ThreadId T);
   void maybeEpochFlush(PerThread &S, ThreadId T);
+  bool epochDue(const PerThread &S, size_t Pending, unsigned Scale) const;
   void flushEpoch(PerThread &S, ThreadId T);
   void appendPendingSections(SegmentDraft &Draft, PerThread &S, ThreadId T);
   bool writeDurableSegment(SegmentDraft &Draft);

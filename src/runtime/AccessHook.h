@@ -14,8 +14,9 @@
 ///
 /// The hook *wraps* the actual data operation (the Perform callback) so a
 /// scheme can establish the atomic section Algorithm 1 requires around the
-/// program access: Light takes a striped lock around writes, uses the
-/// optimistic retry protocol around reads (re-invoking Perform on retry),
+/// program access: Light takes a lock bit in the location's last-write word
+/// around writes, uses the optimistic retry protocol around reads
+/// (re-invoking Perform on retry),
 /// Leap takes its per-location vector lock, and the replay director blocks
 /// until the access's turn in the solved schedule arrives.
 ///
@@ -34,10 +35,10 @@ namespace light {
 /// Per-location metadata: the "last-write map lw" of Algorithm 1 plus the
 /// last-accessor marker used to detect interleaving for optimization O1
 /// (Lemma 4.3). LastWrite is the moral equivalent of the paper's volatile
-/// lw(o.f); std::atomic with seq_cst gives the required JMM-volatile
-/// ordering.
+/// lw(o.f); each scheme picks the std::atomic orderings its protocol needs.
 struct LocMeta {
-  /// Packed AccessId of the last write (0 = never written).
+  /// Packed AccessId of the last write (0 = never written). A packed id
+  /// never sets bit 63; LightRecorder uses it as the write lock bit.
   std::atomic<uint64_t> LastWrite{0};
   /// ThreadId + 1 of the last accessing thread (0 = none). Used only to
   /// close O1 spans when another thread touches the location.

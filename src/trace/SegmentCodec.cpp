@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 using namespace light;
 
@@ -188,38 +187,68 @@ obs::Counter overflowCounter() {
   return obs::Registry::global().counter("record.overflow");
 }
 
+/// Raw-pointer LEB128 writers for the span fast path; the caller has sized
+/// the buffer for the worst case, so there is no per-byte capacity check.
+inline uint8_t *rawVarint(uint8_t *P, uint64_t V) {
+  while (V >= 0x80) {
+    *P++ = static_cast<uint8_t>(V) | 0x80;
+    V >>= 7;
+  }
+  *P++ = static_cast<uint8_t>(V);
+  return P;
+}
+
+inline uint8_t *rawZigzag(uint8_t *P, int64_t V) {
+  return rawVarint(P, (static_cast<uint64_t>(V) << 1) ^
+                          static_cast<uint64_t>(V >> 63));
+}
+
+/// Worst-case encoded sizes: a 64-bit varint takes 10 bytes, a 16-bit
+/// thread id 3. A span is a flags byte, two thread ids (owner and src) and
+/// four 64-bit fields (loc, first, length, src count).
+constexpr size_t MaxVarintBytes = 10;
+constexpr size_t MaxSpanBytes = 1 + 2 * 3 + 4 * MaxVarintBytes;
+
 } // namespace
 
 bool CompressedSegmentEncoder::addSpans(const DepSpan *Spans, size_t N) {
   if (!N)
     return true;
-  for (size_t I = 0; I < N; ++I)
+  ThreadId MaxThread = 0;
+  for (size_t I = 0; I < N; ++I) {
     if (!spanEncodable(Spans[I])) {
       overflowCounter().add(1);
       return false;
     }
-  v3::putVarint(Bytes, static_cast<uint64_t>(LogSection::Spans));
-  v3::putVarint(Bytes, N);
+    MaxThread = std::max(MaxThread, Spans[I].Thread);
+  }
+  size_t Start = Bytes.size();
+  Bytes.resize(Start + 2 * MaxVarintBytes + N * MaxSpanBytes);
+  uint8_t *P = Bytes.data() + Start;
+  P = rawVarint(P, static_cast<uint64_t>(LogSection::Spans));
+  P = rawVarint(P, N);
   uint64_t PrevLoc = 0;
-  std::unordered_map<ThreadId, Counter> PrevFirst;
+  // Per-thread delta bases, indexed directly: span threads are bounded by
+  // MaxSpanThread and a section usually holds one or a few threads.
+  std::vector<Counter> PrevFirst(static_cast<size_t>(MaxThread) + 1, 0);
   for (size_t I = 0; I < N; ++I) {
     const DepSpan &S = Spans[I];
-    Bytes.push_back(static_cast<uint8_t>(S.Kind) |
-                    (S.Src.valid() ? 0x4 : 0x0));
+    *P++ = static_cast<uint8_t>(S.Kind) | (S.Src.valid() ? 0x4 : 0x0);
     // Deltas use wrapping two's-complement arithmetic, so any 64-bit pair
     // round-trips; zigzag just keeps the common near-zero deltas short.
-    v3::putZigzag(Bytes, static_cast<int64_t>(S.Loc - PrevLoc));
-    v3::putVarint(Bytes, S.Thread);
+    P = rawZigzag(P, static_cast<int64_t>(S.Loc - PrevLoc));
+    P = rawVarint(P, S.Thread);
     Counter &PF = PrevFirst[S.Thread];
-    v3::putZigzag(Bytes, static_cast<int64_t>(S.First - PF));
-    v3::putVarint(Bytes, S.Last - S.First);
+    P = rawZigzag(P, static_cast<int64_t>(S.First - PF));
+    P = rawVarint(P, S.Last - S.First);
     if (S.Src.valid()) {
-      v3::putVarint(Bytes, S.Src.Thread);
-      v3::putZigzag(Bytes, static_cast<int64_t>(S.Src.Count - S.First));
+      P = rawVarint(P, S.Src.Thread);
+      P = rawZigzag(P, static_cast<int64_t>(S.Src.Count - S.First));
     }
     PrevLoc = S.Loc;
     PF = S.First;
   }
+  Bytes.resize(static_cast<size_t>(P - Bytes.data()));
   return true;
 }
 
@@ -313,7 +342,7 @@ bool light::decodeSegmentCompressed(const std::vector<uint64_t> &P,
     switch (static_cast<LogSection>(Tag)) {
     case LogSection::Spans: {
       uint64_t PrevLoc = 0;
-      std::unordered_map<ThreadId, Counter> PrevFirst;
+      std::vector<Counter> PrevFirst; // indexed by thread, grown on demand
       for (uint64_t I = 0; I < N; ++I) {
         uint8_t Flags = C.byte();
         if (Flags & ~0x7u)
@@ -327,6 +356,8 @@ bool light::decodeSegmentCompressed(const std::vector<uint64_t> &P,
         if (T > MaxSpanThread)
           return false;
         S.Thread = static_cast<ThreadId>(T);
+        if (T >= PrevFirst.size())
+          PrevFirst.resize(T + 1, 0);
         Counter &PF = PrevFirst[S.Thread];
         S.First = PF + static_cast<uint64_t>(C.zigzag());
         S.Last = S.First + C.varint();

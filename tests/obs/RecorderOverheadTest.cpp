@@ -7,7 +7,7 @@
 /// Guards the telemetry hot-path budget: recording with telemetry enabled
 /// (the default) must stay close to recording with it disabled. The design
 /// target is <= 1% (per-thread plain counters published only at finish();
-/// the only added hot-path work is the stripe try_lock contention probe) —
+/// the only added hot-path work is the lock-bit contention tally) —
 /// the assertion bound is deliberately loose so scheduler noise on shared CI
 /// hosts cannot flake the suite, while a real regression (a registry atomic
 /// or lock on the access path) still trips it.

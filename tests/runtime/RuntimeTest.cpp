@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ReplaySchedule.h"
-#include "runtime/LockStripes.h"
 #include "runtime/Runtime.h"
 #include "runtime/ThreadRegistry.h"
 #include "runtime/TotalOrderDirector.h"
@@ -137,9 +136,4 @@ TEST(ReplaySchedule, MalformedLogIsRejectedNotCrashed) {
   ReplaySchedule RS = ReplaySchedule::build(Log);
   EXPECT_FALSE(RS.ok());
   EXPECT_FALSE(RS.error().empty());
-}
-
-TEST(LockStripesSanity, SameLocationSameStripe) {
-  LockStripes S;
-  EXPECT_EQ(&S.stripeFor(loc::var(7)), &S.stripeFor(loc::var(7)));
 }
