@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <set>
 
 using namespace light;
@@ -26,6 +27,36 @@ WorkloadSpec shrunk(const char *Name, int Divisor = 8) {
   Out.Threads = 4;
   return Out;
 }
+
+/// Restricts the calling thread, and every thread it spawns meanwhile, to
+/// one CPU for the guard's lifetime, so the workers time-slice instead of
+/// running in parallel. ok() is false when the mask could not be set.
+class OneCpu {
+  cpu_set_t Saved;
+  bool Ok = false;
+
+public:
+  OneCpu() {
+    if (sched_getaffinity(0, sizeof(Saved), &Saved) != 0)
+      return;
+    cpu_set_t One;
+    CPU_ZERO(&One);
+    for (int C = 0; C < CPU_SETSIZE; ++C)
+      if (CPU_ISSET(C, &Saved)) {
+        CPU_SET(C, &One);
+        break;
+      }
+    Ok = sched_setaffinity(0, sizeof(One), &One) == 0;
+  }
+  ~OneCpu() {
+    if (Ok)
+      sched_setaffinity(0, sizeof(Saved), &Saved);
+  }
+  OneCpu(const OneCpu &) = delete;
+  OneCpu &operator=(const OneCpu &) = delete;
+
+  bool ok() const { return Ok; }
+};
 
 } // namespace
 
@@ -61,7 +92,13 @@ TEST(Workloads, KernelIsDeterministicInOpsAndSpace) {
 }
 
 TEST(Workloads, LeapRecordsEveryAccessLightRecordsFewLongs) {
+  // Light's volume follows how finely the threads interleave, so Figure
+  // 5's shape is checked in the time-sliced single-CPU regime it was
+  // calibrated on, where host load cannot move it (the parallel regime is
+  // LightStaysBelowLeapWhenThreadsRunInParallel).
   WorkloadSpec Spec = shrunk("cache4j");
+  OneCpu Pin;
+  ASSERT_TRUE(Pin.ok()) << "could not pin the workers";
   Measurement L = runWorkload(Spec, Scheme::Light);
   Measurement P = runWorkload(Spec, Scheme::Leap);
   EXPECT_EQ(P.SpaceLongs, P.SharedOps);
@@ -69,10 +106,27 @@ TEST(Workloads, LeapRecordsEveryAccessLightRecordsFewLongs) {
       << "light=" << L.SpaceLongs << " leap=" << P.SpaceLongs;
 }
 
+TEST(Workloads, LightStaysBelowLeapWhenThreadsRunInParallel) {
+  // Unpinned on a multicore host, cache4j's four hot locks pass most
+  // acquisitions between threads and every handoff is one recorded span
+  // (4 longs against Leap's 4 per critical section), so Light's log grows
+  // to about half of Leap's. Handoffs are bounded by the critical
+  // sections, which keeps it strictly below.
+  WorkloadSpec Spec = shrunk("cache4j");
+  Measurement L = runWorkload(Spec, Scheme::Light);
+  Measurement P = runWorkload(Spec, Scheme::Leap);
+  EXPECT_EQ(P.SpaceLongs, P.SharedOps);
+  EXPECT_LT(L.SpaceLongs, P.SpaceLongs)
+      << "light=" << L.SpaceLongs << " leap=" << P.SpaceLongs;
+}
+
 TEST(Workloads, AblationSpaceOrderingHolds) {
   // V_basic >= V_O1 >= V_both in recorded volume (Figure 7b's direction)
-  // on a bursty, lock-heavy profile.
+  // on a bursty, lock-heavy profile, in the same pinned regime as the
+  // Figure 5 check above.
   WorkloadSpec Spec = shrunk("stamp-vacation");
+  OneCpu Pin;
+  ASSERT_TRUE(Pin.ok()) << "could not pin the workers";
   Measurement Basic = runWorkload(Spec, Scheme::LightBasic);
   Measurement O1 = runWorkload(Spec, Scheme::LightO1);
   Measurement Both = runWorkload(Spec, Scheme::Light);
