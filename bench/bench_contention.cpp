@@ -133,11 +133,6 @@ CellResult runWorkload(const Workload &W, AccessHook &Hook) {
   return R;
 }
 
-LightOptions inMemory(LightOptions O) {
-  O.WriteToDisk = false;
-  return O;
-}
-
 /// Runs one (recorder, workload) cell, including the recorder's finish()
 /// so its telemetry counters reach the registry snapshot.
 CellResult runRecorder(const std::string &Name, const Workload &W) {
@@ -146,7 +141,7 @@ CellResult runRecorder(const std::string &Name, const Workload &W) {
     return runWorkload(W, Hook);
   }
   if (Name == "light") {
-    LightRecorder Rec(inMemory(LightOptions::both()));
+    LightRecorder Rec(LightOptions::both());
     CellResult R = runWorkload(W, Rec);
     R.ReadRetries = Rec.readRetries();
     R.LockCollisions = Rec.stripeContentions();

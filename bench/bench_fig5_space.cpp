@@ -9,6 +9,11 @@
 /// space table of Section 5.2 (paper: Leap avg 94,362K, Stride 135,570K,
 /// Light 9,429K; i.e. Light at ~10% of Leap).
 ///
+/// Space depends on how finely the workers interleave, not on timing, so
+/// every run here is pinned to one CPU (support/Affinity.h): the same
+/// time-sliced regime on every host, the one the paper's shapes were
+/// calibrated on.
+///
 /// Pass a benchmark name to run only that benchmark; pass --json [file] to
 /// also write a light-bench-v1 report.
 ///
@@ -16,6 +21,7 @@
 
 #include "obs/Args.h"
 #include "obs/BenchReport.h"
+#include "support/Affinity.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
 #include "workloads/OverheadHarness.h"
@@ -38,13 +44,19 @@ int main(int argc, char **argv) {
            "stride (K)", "light/leap", "light3 zip"});
   std::vector<double> LightK, Light3K, LeapK, StrideK, Zip;
   obs::BenchReport Report("fig5_space");
+  bool Pinned = true;
 
   for (const WorkloadSpec &Spec : paperWorkloads()) {
     if (!Only.empty() && Spec.Name != Only)
       continue;
-    Measurement L = runWorkload(Spec, Scheme::Light);
-    Measurement P = runWorkload(Spec, Scheme::Leap);
-    Measurement S = runWorkload(Spec, Scheme::Stride);
+    Measurement L, P, S;
+    {
+      OneCpu Pin;
+      Pinned &= Pin.ok();
+      L = runWorkload(Spec, Scheme::Light);
+      P = runWorkload(Spec, Scheme::Leap);
+      S = runWorkload(Spec, Scheme::Stride);
+    }
     double LK = L.SpaceLongs / 1000.0;
     double L3K = L.CompactLongs / 1000.0;
     double PK = P.SpaceLongs / 1000.0;
@@ -68,6 +80,9 @@ int main(int argc, char **argv) {
         .set("light003_compression", Zip.back());
     std::fflush(stdout);
   }
+  std::printf("Regime: %s\n",
+              Pinned ? "workers pinned to one CPU (time-sliced)"
+                     : "UNPINNED (could not set the CPU affinity)");
   std::printf("%s\n", T.render().c_str());
 
   Table Agg({"statistic", "leap (K)", "stride (K)", "light (K)",

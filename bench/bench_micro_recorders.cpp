@@ -48,11 +48,6 @@ template <typename MakeHook> void runWriteLoop(benchmark::State &State,
     Var.write(RT, 0, ++I);
 }
 
-LightOptions inMemory(LightOptions O) {
-  O.WriteToDisk = false;
-  return O;
-}
-
 } // namespace
 
 static void BM_Read_Baseline(benchmark::State &S) {
@@ -60,17 +55,17 @@ static void BM_Read_Baseline(benchmark::State &S) {
 }
 static void BM_Read_Light(benchmark::State &S) {
   runReadLoop(S, [] {
-    return std::make_unique<LightRecorder>(inMemory(LightOptions::both()));
+    return std::make_unique<LightRecorder>(LightOptions::both());
   });
 }
 static void BM_Read_LightBasic(benchmark::State &S) {
   runReadLoop(S, [] {
-    return std::make_unique<LightRecorder>(inMemory(LightOptions::basic()));
+    return std::make_unique<LightRecorder>(LightOptions::basic());
   });
 }
 static void BM_Read_Light_NoTelemetry(benchmark::State &S) {
   runReadLoop(S, [] {
-    LightOptions O = inMemory(LightOptions::both());
+    LightOptions O = LightOptions::both();
     O.Telemetry = false;
     return std::make_unique<LightRecorder>(O);
   });
@@ -87,12 +82,12 @@ static void BM_Write_Baseline(benchmark::State &S) {
 }
 static void BM_Write_Light(benchmark::State &S) {
   runWriteLoop(S, [] {
-    return std::make_unique<LightRecorder>(inMemory(LightOptions::both()));
+    return std::make_unique<LightRecorder>(LightOptions::both());
   });
 }
 static void BM_Write_Light_NoTelemetry(benchmark::State &S) {
   runWriteLoop(S, [] {
-    LightOptions O = inMemory(LightOptions::both());
+    LightOptions O = LightOptions::both();
     O.Telemetry = false;
     return std::make_unique<LightRecorder>(O);
   });

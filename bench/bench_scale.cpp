@@ -175,10 +175,8 @@ int runRow(const RowConfig &C, const std::string &LogPath,
   // Phase 1: record into the compressed durable log.
   Stopwatch Phase;
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   Opts.EpochSpans = C.EpochSpans;
   Opts.DurableLogPath = LogPath;
-  Opts.CompressedEpochs = true;
   LightRecorder Rec(Opts);
   Runtime RT(Rec);
   std::vector<std::unique_ptr<SharedVar>> Vars;

@@ -35,7 +35,6 @@ int main() {
   // A bursty, clean run first: show the recording economics of Figure 2.
   {
     LightOptions Opts;
-    Opts.WriteToDisk = false;
     LightRecorder Recorder(Opts);
     Machine M(Cache4j.Prog, Recorder);
     BurstScheduler Sched(/*Seed=*/5, /*MaxBurstLen=*/64);

@@ -60,7 +60,6 @@ int main() {
 
   // --- 2. Record one nondeterministic run.
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   LightRecorder Recorder(Opts);
   Machine RecordMachine(Prog, Recorder);
   RandomScheduler Schedule(/*Seed=*/2024);

@@ -67,7 +67,6 @@ ToolAttempt light::bugs::lightReproduce(const BugBenchmark &Bench,
   analysis::LocksetAnalysis LA(Bench.Prog);
   GuardSpec Guards = LA.consistentlyGuarded();
 
-  Opts.WriteToDisk = false;
   LightRecorder Rec(Opts);
   if (Opts.EnableO2)
     Rec.setGuards(Guards);

@@ -103,7 +103,6 @@ int recordChildBody(const mir::Program &Prog, const CiOptions &Opts,
     ::raise(SIGKILL); // dies before the durable log exists
 
   LightOptions LO;
-  LO.WriteToDisk = false;
   LO.EpochSpans = Opts.EpochSpans;
   LO.DurableLogPath = LogPath;
   LightRecorder Rec(LO);

@@ -17,7 +17,7 @@
 ///  * First contact happens in a sandboxed child (ci/Sandbox.h): rlimits,
 ///    a parent watchdog deadline, and an in-child alarm(2) fallback mean a
 ///    crashing, spinning, or allocating program only ever costs one
-///    disposable process. The child records through the durable LIGHT002
+///    disposable process. The child records through the durable LIGHT003
 ///    epoch log, so whatever kills it leaves a salvageable prefix.
 ///  * Every later execution — failure confirmation, schedule exploration,
 ///    ddmin shrinking, repro verification — runs *in-situ*, in-process,

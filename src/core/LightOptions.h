@@ -35,19 +35,8 @@ struct LightOptions {
   /// recorded lock operation order subsumes their dependences.
   bool EnableO2 = true;
 
-  /// Dump the log to disk with the buffered scheme of Section 5.2 (flush
-  /// once the in-memory buffer exceeds FlushThresholdSpans). Disabled in
-  /// unit tests that only inspect the in-memory log.
-  bool WriteToDisk = true;
-
-  /// Per-thread span-buffer capacity before a disk flush.
-  size_t FlushThresholdSpans = 1 << 14;
-
-  /// Directory for log files; empty selects the system temp directory.
-  std::string LogDir;
-
   /// Epoch durability (crash tolerance): when nonzero, the recorder streams
-  /// every completed epoch into a LIGHT002 durable log (see
+  /// every completed epoch into a LIGHT003 durable log (see
   /// support/DurableLog.h) as a checksummed segment, flushed to the OS at
   /// the epoch boundary — a crashed or SIGKILL'd process leaves a
   /// salvageable prefix covering all closed epochs. An epoch falls due once
@@ -70,12 +59,11 @@ struct LightOptions {
   /// Only consulted when EpochSpans or EpochMs is set.
   std::string DurableLogPath;
 
-  /// Emit durable epoch segments in the compressed LIGHT003 format
-  /// (trace/SegmentCodec.h varint stream) instead of LIGHT002's
-  /// word-oriented sections. Same container, same salvage guarantees;
-  /// roughly 3-6x smaller on bursty span traffic. Only consulted when
-  /// epoch durability is on.
-  bool CompressedEpochs = false;
+  /// No effect; kept only because lightbench/ assigns it. Delete with that.
+  bool CompressedEpochs = true;
+
+  /// No effect; kept only because lightbench/ assigns it. Delete with that.
+  bool WriteToDisk = false;
 
   /// Collect the optional hot-path telemetry (write-contention counting:
   /// every failed attempt to take a location's last-write lock bit).

@@ -8,6 +8,7 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/BinaryIO.h"
 #include "trace/SegmentCodec.h"
 
 #include <cassert>
@@ -53,51 +54,6 @@ inline uint32_t takeAccessor(LocMeta &M, ThreadId T) {
 constexpr unsigned DeferredEpochCap = 4;
 
 } // namespace
-
-/// One epoch segment under construction. Dispatches each section to the
-/// LIGHT002 word encoders or the LIGHT003 varint encoder; either way a
-/// failed section leaves the draft unchanged and latches Overflow, so the
-/// segment that reaches disk holds exactly the sections that fit the wire.
-struct LightRecorder::SegmentDraft {
-  explicit SegmentDraft(bool Compressed) : Compressed(Compressed) {}
-
-  bool Compressed;
-  std::vector<uint64_t> Words; ///< LIGHT002 path
-  CompressedSegmentEncoder Enc; ///< LIGHT003 path
-  bool Overflow = false;
-
-  bool empty() const { return Compressed ? Enc.empty() : Words.empty(); }
-  std::vector<uint64_t> finish() const {
-    return Compressed ? Enc.finish() : Words;
-  }
-
-  void spans(const DepSpan *S, size_t N) {
-    Overflow |= !(Compressed ? Enc.addSpans(S, N)
-                             : encodeSpanSection(Words, S, N));
-  }
-  void syscalls(const SyscallRecord *Calls, size_t N) {
-    if (Compressed)
-      Overflow |= !Enc.addSyscalls(Calls, N);
-    else
-      encodeSyscallSection(Words, Calls, N);
-  }
-  void spawns(const std::vector<SpawnRecord> &Spawns) {
-    if (Compressed)
-      Overflow |= !Enc.addSpawns(Spawns);
-    else
-      encodeSpawnSection(Words, Spawns);
-  }
-  void counters(const std::vector<std::pair<ThreadId, Counter>> &Updates) {
-    Overflow |= !(Compressed ? Enc.addCounters(Updates)
-                             : encodeCounterSection(Words, Updates));
-  }
-  void guards(const GuardSpec &G) {
-    if (Compressed)
-      Overflow |= !Enc.addGuards(G);
-    else
-      encodeGuardSections(Words, G);
-  }
-};
 
 LightRecorder::LightRecorder(LightOptions O) : Opts(std::move(O)) {
   Threads.reserve(MaxThreads);
@@ -174,32 +130,8 @@ void LightRecorder::closeSpan(PerThread &S, ThreadId T, LocationId L,
   if (Tr.enabled())
     Tr.instant("record.span", "record", T, {"loc", L},
                {"len", Sp.Last - Sp.First + 1});
-  maybeFlush(S, T);
   if (EpochsOn)
     maybeEpochFlush(S, T);
-}
-
-void LightRecorder::maybeFlush(PerThread &S, ThreadId T) {
-  if (!Opts.WriteToDisk ||
-      S.Spans.size() - S.DiskSpans < Opts.FlushThresholdSpans)
-    return;
-  if (!S.Writer) {
-    std::string Stem = "light-t" + std::to_string(T);
-    std::string Path = Opts.LogDir.empty()
-                           ? makeTempPath(Stem)
-                           : Opts.LogDir + "/" + Stem + ".log";
-    S.Writer = std::make_unique<LongWriter>(Path);
-  }
-  for (size_t I = S.DiskSpans; I < S.Spans.size(); ++I) {
-    const DepSpan &D = S.Spans[I];
-    S.Writer->put(D.Loc);
-    S.Writer->put(D.Src.valid() ? D.Src.pack() : 0);
-    S.Writer->put(AccessId(D.Thread, D.First).pack() |
-                  (static_cast<uint64_t>(D.Kind) << 62));
-    S.Writer->put(D.Last);
-  }
-  S.Writer->flush();
-  S.DiskSpans = S.Spans.size();
 }
 
 // --- Epoch durability -------------------------------------------------------
@@ -239,19 +171,22 @@ void LightRecorder::maybeEpochFlush(PerThread &S, ThreadId T) {
   flushEpoch(S, T);
 }
 
-void LightRecorder::appendPendingSections(SegmentDraft &Draft, PerThread &S,
-                                          ThreadId T) {
+void LightRecorder::appendPendingSections(CompressedSegmentEncoder &Enc,
+                                          PerThread &S, ThreadId T) {
+  // A section that exceeds a wire width is left out and latches the
+  // encoder's overflow flag, so the segment that reaches disk holds exactly
+  // the sections that fit.
   if (S.DurableSpans < S.Spans.size()) {
-    Draft.spans(S.Spans.data() + S.DurableSpans,
-                S.Spans.size() - S.DurableSpans);
+    Enc.addSpans(S.Spans.data() + S.DurableSpans,
+                 S.Spans.size() - S.DurableSpans);
     S.DurableSpans = S.Spans.size();
   }
   if (S.DurableSyscalls < S.Syscalls.size()) {
-    Draft.syscalls(S.Syscalls.data() + S.DurableSyscalls,
-                   S.Syscalls.size() - S.DurableSyscalls);
+    Enc.addSyscalls(S.Syscalls.data() + S.DurableSyscalls,
+                    S.Syscalls.size() - S.DurableSyscalls);
     S.DurableSyscalls = S.Syscalls.size();
   }
-  Draft.counters({{T, S.Ctr}});
+  Enc.addCounters({{T, S.Ctr}});
   S.LastEpoch = std::chrono::steady_clock::now();
   S.EpochDeferred = false;
 }
@@ -259,26 +194,24 @@ void LightRecorder::appendPendingSections(SegmentDraft &Draft, PerThread &S,
 void LightRecorder::flushEpoch(PerThread &S, ThreadId T) {
   if (OnEpochFlush)
     OnEpochFlush(T);
-  SegmentDraft Draft(Opts.CompressedEpochs);
-  appendPendingSections(Draft, S, T);
+  CompressedSegmentEncoder Enc;
+  appendPendingSections(Enc, S, T);
   // The spawn table rides along on every epoch (replace semantics) so a
   // salvaged prefix can still map replay threads to recorded ones.
   if (SpawnSource)
-    Draft.spawns(SpawnSource->spawnTable());
-  writeDurableSegment(Draft);
+    Enc.addSpawns(SpawnSource->spawnTable());
+  writeDurableSegment(Enc);
 }
 
-bool LightRecorder::writeDurableSegment(SegmentDraft &Draft) {
-  if (Draft.Overflow)
+bool LightRecorder::writeDurableSegment(const CompressedSegmentEncoder &Enc) {
+  if (Enc.overflowed())
     noteOverflow("an epoch section exceeded a wire width and was dropped "
                  "from the durable log");
   std::lock_guard<std::mutex> Guard(EpochMutex);
   if (!Durable) {
     std::string Path = Opts.DurableLogPath.empty() ? makeTempPath("durable")
                                                    : Opts.DurableLogPath;
-    Durable = std::make_unique<DurableLogWriter>(
-        std::move(Path),
-        Opts.CompressedEpochs ? CompressedFileMagic : DurableFileMagic);
+    Durable = std::make_unique<DurableLogWriter>(std::move(Path));
   }
   if (!Durable->ok())
     return false;
@@ -288,13 +221,13 @@ bool LightRecorder::writeDurableSegment(SegmentDraft &Draft) {
   if (!GuardsEmitted) {
     GuardsEmitted = true;
     if (Opts.EnableO2 && !Guards.empty()) {
-      SegmentDraft GuardDraft(Opts.CompressedEpochs);
-      GuardDraft.guards(Guards);
-      if (!Durable->writeSegment(GuardDraft.finish()))
+      CompressedSegmentEncoder GuardEnc;
+      GuardEnc.addGuards(Guards);
+      if (!Durable->writeSegment(GuardEnc.finish()))
         return false;
     }
   }
-  return Durable->writeSegment(Draft.finish());
+  return Durable->writeSegment(Enc.finish());
 }
 
 void LightRecorder::noteOverflow(const std::string &What, bool BumpMetric) {
@@ -329,19 +262,19 @@ std::string LightRecorder::overflowError() const {
 bool LightRecorder::crashFlush() {
   if (!EpochsOn)
     return false;
-  SegmentDraft Draft(Opts.CompressedEpochs);
+  CompressedSegmentEncoder Enc;
   for (uint32_t T = 0; T < MaxThreads; ++T) {
     PerThread &S = *Threads[T];
     closeAllSpans(S, static_cast<ThreadId>(T));
     if (S.Ctr || S.DurableSyscalls < S.Syscalls.size())
-      appendPendingSections(Draft, S, static_cast<ThreadId>(T));
+      appendPendingSections(Enc, S, static_cast<ThreadId>(T));
   }
   if (SpawnSource)
-    Draft.spawns(SpawnSource->spawnTable());
+    Enc.addSpawns(SpawnSource->spawnTable());
   // An empty trailing zero-payload segment would masquerade as the
   // clean-close marker; with nothing to save, leave only what is already
   // durable on disk.
-  bool Ok = Draft.empty() ? true : writeDurableSegment(Draft);
+  bool Ok = Enc.empty() ? true : writeDurableSegment(Enc);
   std::lock_guard<std::mutex> Guard(EpochMutex);
   if (!Durable)
     return false;
@@ -642,10 +575,6 @@ RecordingLog LightRecorder::finish(const ThreadRegistry *Registry) {
     Log.Spans.insert(Log.Spans.end(), S.Spans.begin(), S.Spans.end());
     Log.Syscalls.insert(Log.Syscalls.end(), S.Syscalls.begin(),
                         S.Syscalls.end());
-    if (S.Writer) {
-      S.Writer->finish();
-      S.Writer.reset();
-    }
   }
   Log.FinalCounters.resize(MaxThread + 1, 0);
   for (uint32_t T = 0; T <= MaxThread; ++T)
@@ -658,16 +587,16 @@ RecordingLog LightRecorder::finish(const ThreadRegistry *Registry) {
   if (EpochsOn) {
     // Final durable segment: whatever each thread still holds, the complete
     // counter table and spawn table, then the clean-close marker.
-    SegmentDraft Draft(Opts.CompressedEpochs);
+    CompressedSegmentEncoder Enc;
     for (uint32_t T = 0; T < MaxThreads; ++T) {
       PerThread &S = *Threads[T];
       if (S.Ctr || S.DurableSpans < S.Spans.size() ||
           S.DurableSyscalls < S.Syscalls.size())
-        appendPendingSections(Draft, S, static_cast<ThreadId>(T));
+        appendPendingSections(Enc, S, static_cast<ThreadId>(T));
     }
     if (!Log.Spawns.empty())
-      Draft.spawns(Log.Spawns);
-    writeDurableSegment(Draft);
+      Enc.addSpawns(Log.Spawns);
+    writeDurableSegment(Enc);
     std::lock_guard<std::mutex> Guard(EpochMutex);
     if (Durable)
       Durable->closeClean();

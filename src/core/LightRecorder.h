@@ -25,9 +25,10 @@
 ///  * Optimization O2 (Lemma 4.2) skips recording entirely for locations
 ///    declared consistently guarded by the analysis (counters still bump so
 ///    replay correlation is preserved).
-///  * Buffers are flushed to disk once they exceed a threshold, mirroring
-///    the buffered dump configuration of Section 5.2; the long-integer
-///    space accounting comes from the serialized words.
+///  * The long-integer space of Section 5.2 is counted from the buffers
+///    (longIntegersRecorded(), RecordingLog::spaceLongs()); what reaches
+///    disk is the LIGHT003 log — the durable epoch stream below, or the
+///    finished log via RecordingLog::saveCompact().
 ///  * Durable epochs (LightOptions::EpochSpans/EpochMs) never flush inside
 ///    a program lock section: the recorder counts each thread's held-lock
 ///    depth from the ghost lock accesses (Section 4.3) and defers an epoch
@@ -42,7 +43,6 @@
 #include "core/LightOptions.h"
 #include "runtime/AccessHook.h"
 #include "runtime/ThreadRegistry.h"
-#include "support/BinaryIO.h"
 #include "support/DurableLog.h"
 #include "trace/MessageLog.h"
 #include "trace/RecordingLog.h"
@@ -56,6 +56,8 @@
 #include <vector>
 
 namespace light {
+
+class CompressedSegmentEncoder;
 
 /// The Light recorder. Thread-safe; one instance records one execution.
 class LightRecorder : public AccessHook {
@@ -237,12 +239,9 @@ private:
     bool EpochDeferred = false;
     SpanTable Open;
     /// Every closed span in emission order. The durable-epoch suffix
-    /// [DurableSpans, size) and the disk-dump suffix [DiskSpans, size) are
-    /// both contiguous, so neither needs a gathering copy.
+    /// [DurableSpans, size) is contiguous, so it needs no gathering copy.
     std::vector<DepSpan> Spans;
-    size_t DiskSpans = 0; ///< prefix already dumped to Writer (Section 5.2)
     std::vector<SyscallRecord> Syscalls;
-    std::unique_ptr<LongWriter> Writer;
     uint64_t Retries = 0;
     // Epoch durability bookkeeping: how much of this thread's output is
     // already in the durable log.
@@ -280,10 +279,6 @@ private:
   std::mutex MsgMutex; ///< serializes message-log appends across threads
   std::unique_ptr<MessageLogWriter> MsgLog; ///< guarded by MsgMutex
 
-  /// One epoch segment being assembled, in whichever format
-  /// Opts.CompressedEpochs selects. Defined in the .cpp.
-  struct SegmentDraft;
-
   PerThread &state(ThreadId T) { return *Threads[T]; }
   const PerThread &state(ThreadId T) const { return *Threads[T]; }
 
@@ -304,12 +299,12 @@ private:
                  FunctionRef<void()> Perform);
   void closeAllSpans(PerThread &S, ThreadId T);
   void closeSpan(PerThread &S, ThreadId T, LocationId L, OpenSpan &Sp);
-  void maybeFlush(PerThread &S, ThreadId T);
   void maybeEpochFlush(PerThread &S, ThreadId T);
   bool epochDue(const PerThread &S, size_t Pending, unsigned Scale) const;
   void flushEpoch(PerThread &S, ThreadId T);
-  void appendPendingSections(SegmentDraft &Draft, PerThread &S, ThreadId T);
-  bool writeDurableSegment(SegmentDraft &Draft);
+  void appendPendingSections(CompressedSegmentEncoder &Enc, PerThread &S,
+                             ThreadId T);
+  bool writeDurableSegment(const CompressedSegmentEncoder &Enc);
   void noteOverflow(const std::string &What, bool BumpMetric = false);
   void counterSaturated(ThreadId T);
   void noteRead(PerThread &S, ThreadId T, LocationId L, uint64_t Src,

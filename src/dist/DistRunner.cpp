@@ -135,11 +135,9 @@ private:
 
   std::string LogPath = nodeLogPath(Opts.LogBase, Node);
   LightOptions LO;
-  LO.WriteToDisk = false;
   LO.EpochSpans = Opts.EpochSpans ? Opts.EpochSpans : 4;
   LO.EpochMs = Opts.EpochMs;
   LO.DurableLogPath = LogPath;
-  LO.CompressedEpochs = Opts.Compress;
   LightRecorder Rec(LO);
   Rec.attachMessageLog(messageLogPath(LogPath));
 

@@ -7,7 +7,7 @@
 /// \file
 /// The record half of fault-tolerant multi-node record/replay: fork one
 /// process per node, each running the program's `node(index)` function
-/// under its own LightRecorder with a durable LIGHT002/LIGHT003 epoch log
+/// under its own LightRecorder with a durable LIGHT003 epoch log
 /// ("<base>.node<i>") and a durable message log next to it, all wired to a
 /// shared pre-fork PipeFabric. Message delivery uses bounded
 /// retry-with-backoff; the retry count is recorded as a syscall input, so
@@ -58,7 +58,6 @@ struct DistOptions {
   std::string LogBase;     ///< per-node logs at "<LogBase>.node<i>"
   size_t EpochSpans = 4;   ///< durable epoch granularity (spans per epoch)
   uint64_t EpochMs = 0;
-  bool Compress = false;   ///< LIGHT003 compressed epochs
   uint64_t MaxInstructions = 20000000ull;
 };
 

@@ -119,7 +119,6 @@ OracleVerdict CrossEngineOracle::check(const mir::Program &Prog,
   // --- Light: record, solve, validated replay ------------------------------
   {
     LightOptions Opts = LightOptions::both();
-    Opts.WriteToDisk = false;
     LightRecorder Rec(Opts);
     RecordingLog Log;
     EngineRun Recorded;
@@ -159,7 +158,6 @@ OracleVerdict CrossEngineOracle::check(const mir::Program &Prog,
   RecordingLog BasicLog;
   {
     LightOptions Opts = LightOptions::basic();
-    Opts.WriteToDisk = false;
     LightRecorder Rec(Opts);
     Machine M(Prog, Rec);
     M.seedEnvironment(Config.EnvSeed ^ 0x5a5a);

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Binary writers/readers for recording logs. All three recording schemes in
-/// the paper (Light, Leap, Stride) dump their logs to disk as sequences of
-/// long integers; the evaluation counts space in "Long-integer" units
-/// (Section 5.2). LongWriter both serializes and counts those units so the
-/// space figures come directly from the bytes that actually hit the disk.
+/// Binary writers/readers for files of 64-bit words: Leap's log dump, the
+/// message side logs, the windowed solver's spill file, and the legacy
+/// LIGHT001 reader. The evaluation counts space in "Long-integer" units
+/// (Section 5.2); LongWriter both serializes and counts those units.
+/// (Light's own count is RecordingLog::spaceLongs(), and its log reaches
+/// disk as LIGHT003 through support/DurableLog.)
 ///
 /// I/O failures are propagated, not asserted: a writer that fails to open or
 /// suffers a short write reports it through ok()/error() (and keeps

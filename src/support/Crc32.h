@@ -6,9 +6,9 @@
 ///
 /// \file
 /// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) over byte
-/// ranges. Every LIGHT002/LIGHT003 log segment carries one of these so a
-/// torn tail or a flipped bit is detected at load time instead of silently
-/// corrupting the replay schedule. Each epoch flush checksums its whole
+/// ranges. Every durable log segment (LIGHT003, and legacy LIGHT002)
+/// carries one of these so a torn tail or a flipped bit is detected at load
+/// time instead of silently corrupting the replay schedule. Each epoch flush checksums its whole
 /// segment, so crc32c() uses the SSE4.2 crc32 instruction when the CPU has
 /// it (checked once at run time) and a byte-table fallback otherwise; both
 /// compute the same checksum.

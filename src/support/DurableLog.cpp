@@ -54,7 +54,7 @@ void DurableLogWriter::fail(const std::string &What) {
   }
 }
 
-DurableLogWriter::DurableLogWriter(std::string PathIn, uint64_t Magic)
+DurableLogWriter::DurableLogWriter(std::string PathIn)
     : Path(std::move(PathIn)) {
   fault::Injector &Faults = fault::Injector::global();
   File = Faults.shouldFire("io.open_fail") ? nullptr
@@ -64,6 +64,7 @@ DurableLogWriter::DurableLogWriter(std::string PathIn, uint64_t Magic)
     return;
   }
   Ok = true;
+  const uint64_t Magic = CompressedFileMagic;
   if (std::fwrite(&Magic, sizeof(Magic), 1, File) != 1) {
     fail("cannot write durable log header to");
     return;
@@ -186,7 +187,7 @@ DurableLogCursor::DurableLogCursor(const std::string &Path) {
   if (TotalWords < 1 ||
       std::fread(&Magic, sizeof(Magic), 1, File) != 1 ||
       (Magic != DurableFileMagic && Magic != CompressedFileMagic)) {
-    Err = "'" + Path + "' is not a LIGHT002 durable log";
+    Err = "'" + Path + "' is not a LIGHT003 or LIGHT002 durable log";
     std::fclose(File);
     File = nullptr;
     return;

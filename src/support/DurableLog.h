@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The LIGHT002 on-disk container: a fixed header word followed by
+/// The durable on-disk container: a fixed header word followed by
 /// length-framed, CRC32C-checksummed segments of 64-bit words. The recorder
 /// appends one segment per epoch (and flushes it to the OS immediately), so
 /// a process that is SIGKILL'd or crashes mid-run leaves a file whose valid
@@ -14,7 +14,8 @@
 ///
 /// Layout (all 64-bit little-endian words):
 ///
-///   word 0:            file magic "LIGHT002"
+///   word 0:            file magic "LIGHT003" (written) or "LIGHT002"
+///                      (legacy, read only)
 ///   per segment:       [segment magic "LSEGMENT"]
 ///                      [N = payload word count]
 ///                      [meta = (sequence number << 32) | CRC32C(payload)]
@@ -22,8 +23,8 @@
 ///   clean close:       a zero-payload segment (N == 0) written by
 ///                      closeClean(); its absence marks a crashed producer.
 ///
-/// The segment payload is opaque at this layer; trace/RecordingLog defines
-/// the section encoding it stores inside.
+/// The segment payload is opaque at this layer; the file magic names its
+/// encoding, which trace/SegmentCodec defines.
 ///
 /// Fault-injection sites honored here (support/FaultInjection.h):
 ///   io.open_fail        constructor fails as if open(2) did
@@ -49,25 +50,25 @@
 
 namespace light {
 
-/// Magic words of the LIGHT002 container.
-constexpr uint64_t DurableFileMagic = 0x4c49474854303032ull;    // "LIGHT002"
-constexpr uint64_t DurableSegmentMagic = 0x4c5345474d454e54ull; // "LSEGMENT"
-
-/// LIGHT003 reuses this container byte-for-byte — same framing, checksums,
-/// sequence numbers, clean-close marker, and salvage rules — under a
-/// different file magic; only the segment payload encoding changes (a varint
-/// byte stream, defined by trace/SegmentCodec). The container layer accepts
-/// either magic when scanning.
+/// File magic of the container every writer produces: LIGHT003, whose
+/// segment payloads are the varint byte stream of trace/SegmentCodec.
 constexpr uint64_t CompressedFileMagic = 0x4c49474854303033ull; // "LIGHT003"
+
+/// File magic of the legacy LIGHT002 container — the same framing,
+/// checksums, sequence numbers, clean-close marker, and salvage rules,
+/// carrying word-oriented payloads. Read only: the cursor accepts it so old
+/// logs still load.
+constexpr uint64_t DurableFileMagic = 0x4c49474854303032ull; // "LIGHT002"
+
+/// Frame magic opening every segment.
+constexpr uint64_t DurableSegmentMagic = 0x4c5345474d454e54ull; // "LSEGMENT"
 
 /// Appends checksummed segments to a log file, flushing each one to the OS
 /// so completed epochs survive the producer's death.
 class DurableLogWriter {
 public:
-  /// Opens \p Path and writes the file header. \p Magic selects the
-  /// container flavor (LIGHT002 words or LIGHT003 compressed payloads).
-  explicit DurableLogWriter(std::string Path,
-                            uint64_t Magic = DurableFileMagic);
+  /// Opens \p Path and writes the LIGHT003 file header.
+  explicit DurableLogWriter(std::string Path);
   ~DurableLogWriter();
 
   DurableLogWriter(const DurableLogWriter &) = delete;
@@ -114,7 +115,7 @@ private:
   void fail(const std::string &What);
 };
 
-/// Streams the segments of a LIGHT002/LIGHT003 container one at a time,
+/// Streams the segments of a LIGHT003 (or LIGHT002) container one at a time,
 /// holding at most one segment payload in memory. This is the bounded-memory
 /// counterpart of scanDurableLog() (which is now a thin wrapper): a
 /// 10^8-access recording is gigabytes on disk, and both the offline solver
@@ -174,9 +175,9 @@ private:
   Item finish(Item I);
 };
 
-/// Result of scanning a LIGHT002 file: the longest valid segment prefix.
+/// Result of scanning a durable file: the longest valid segment prefix.
 struct SegmentScan {
-  bool HeaderOk = false; ///< file opened and carried the LIGHT002 magic
+  bool HeaderOk = false; ///< file opened and carried a durable magic
   bool Clean = false;    ///< trailing clean-close marker present, no tail
   std::vector<std::vector<uint64_t>> Segments; ///< valid payloads, in order
   uint64_t SegmentsDropped = 0; ///< 1 when a torn/corrupt tail was cut

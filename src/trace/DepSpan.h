@@ -74,14 +74,15 @@ struct DepSpan {
   std::string str() const;
 };
 
-/// The span wire formats pack the kind into the top two bits of the packed
-/// (thread, first) word, capping span thread ids at 14 bits.
+/// The legacy word formats pack the kind into the top two bits of the packed
+/// (thread, first) word, capping span thread ids at 14 bits; LIGHT003 keeps
+/// the same limit so every log stays readable by one validator.
 constexpr ThreadId MaxSpanThread = (1u << 14) - 1;
 
-/// True when \p S fits every width limit of the on-disk span encodings
-/// (LIGHT001 words and the LIGHT003 varint stream alike). The serializers
-/// check this before packing so an overflowing recording fails with a
-/// structured error instead of writing a corrupt trace.
+/// True when \p S fits every width limit of the on-disk span encodings.
+/// The LIGHT003 encoder checks this before packing so an overflowing
+/// recording fails with a structured error instead of writing a corrupt
+/// trace.
 inline bool spanEncodable(const DepSpan &S) {
   return S.Thread <= MaxSpanThread && S.First <= S.Last &&
          S.Last <= MaxAccessCounter &&

@@ -18,7 +18,7 @@
 /// [chan|dir, seq, value, packed AccessId, crc32c of the first 4 words],
 /// then a clean-close word. The writer flushes every record to the OS, so
 /// a SIGKILLed node leaves at most one torn record; the loader salvages the
-/// longest CRC-valid prefix, mirroring the LIGHT002 torn-tail contract.
+/// longest CRC-valid prefix, mirroring the durable log's torn-tail contract.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,20 +9,21 @@
 #include "obs/Metrics.h"
 #include "support/BinaryIO.h"
 #include "support/DurableLog.h"
-#include "support/FaultInjection.h"
 #include "trace/SegmentCodec.h"
 #include "trace/SegmentReader.h"
-
-#include <algorithm>
-#include <cassert>
 
 using namespace light;
 
 namespace {
+
 constexpr uint64_t LogMagic = 0x4c49474854303031ull; // "LIGHT001"
 
-void noteOverflow() {
-  obs::Registry::global().counter("record.overflow").add(1);
+std::vector<std::pair<ThreadId, Counter>>
+counterUpdates(const std::vector<Counter> &FinalCounters) {
+  std::vector<std::pair<ThreadId, Counter>> Updates;
+  for (size_t T = 0; T < FinalCounters.size(); ++T)
+    Updates.emplace_back(static_cast<ThreadId>(T), FinalCounters[T]);
+  return Updates;
 }
 
 } // namespace
@@ -38,166 +39,9 @@ RecordingLog::SpaceBreakdown RecordingLog::spaceBreakdown() const {
   return B;
 }
 
-uint64_t RecordingLog::save(const std::string &Path) const {
-  // The span kind shares the top two bits of the packed (thread, first)
-  // word, which caps thread ids at 2^14 - 1, and counters at 2^48 - 1.
-  // Check before anything is packed: an overflowing log must fail
-  // structurally, not wrap into a corrupt trace.
-  for (const DepSpan &S : Spans)
-    if (!spanEncodable(S)) {
-      noteOverflow();
-      return 0;
-    }
-
-  LongWriter Writer(Path);
-  Writer.put(LogMagic);
-
-  Writer.put(Spans.size());
-  for (const DepSpan &S : Spans) {
-    Writer.put(S.Loc);
-    Writer.put(S.Src.valid() ? S.Src.pack() : 0);
-    Writer.put(AccessId(S.Thread, S.First).pack() |
-               (static_cast<uint64_t>(S.Kind) << 62));
-    Writer.put(S.Last);
-  }
-
-  Writer.put(Syscalls.size());
-  for (const SyscallRecord &R : Syscalls) {
-    Writer.put(R.Thread);
-    Writer.put(R.Value);
-  }
-
-  Writer.put(Spawns.size());
-  for (const SpawnRecord &R : Spawns)
-    Writer.put(packSpawnWord(R));
-
-  Writer.put(FinalCounters.size());
-  for (Counter C : FinalCounters)
-    Writer.put(C);
-
-  Writer.put(Guards.Exact.size());
-  for (LocationId L : Guards.Exact)
-    Writer.put(L);
-  Writer.put(Guards.FieldIndices.size());
-  for (uint32_t F : Guards.FieldIndices)
-    Writer.put(F);
-  Writer.put(Guards.GlobalIds.size());
-  for (uint64_t G : Guards.GlobalIds)
-    Writer.put(G);
-
-  return Writer.finish();
-}
-
-//===----------------------------------------------------------------------===//
-// LIGHT002 section encoding
-//===----------------------------------------------------------------------===//
-
-bool light::encodeSpanSection(std::vector<uint64_t> &Out, const DepSpan *Spans,
-                              size_t N) {
-  if (!N)
-    return true;
-  for (size_t I = 0; I < N; ++I)
-    if (!spanEncodable(Spans[I])) {
-      noteOverflow();
-      return false;
-    }
-  Out.push_back(static_cast<uint64_t>(LogSection::Spans));
-  Out.push_back(N);
-  for (size_t I = 0; I < N; ++I) {
-    const DepSpan &S = Spans[I];
-    Out.push_back(S.Loc);
-    Out.push_back(S.Src.valid() ? S.Src.pack() : 0);
-    Out.push_back(AccessId(S.Thread, S.First).pack() |
-                  (static_cast<uint64_t>(S.Kind) << 62));
-    Out.push_back(S.Last);
-  }
-  return true;
-}
-
-void light::encodeSyscallSection(std::vector<uint64_t> &Out,
-                                 const SyscallRecord *Calls, size_t N) {
-  if (!N)
-    return;
-  Out.push_back(static_cast<uint64_t>(LogSection::Syscalls));
-  Out.push_back(N);
-  for (size_t I = 0; I < N; ++I) {
-    Out.push_back(Calls[I].Thread);
-    Out.push_back(Calls[I].Value);
-  }
-}
-
-void light::encodeSpawnSection(std::vector<uint64_t> &Out,
-                               const std::vector<SpawnRecord> &Spawns) {
-  Out.push_back(static_cast<uint64_t>(LogSection::Spawns));
-  Out.push_back(Spawns.size());
-  for (const SpawnRecord &R : Spawns)
-    Out.push_back(packSpawnWord(R));
-}
-
-bool light::encodeCounterSection(
-    std::vector<uint64_t> &Out,
-    const std::vector<std::pair<ThreadId, Counter>> &Updates) {
-  if (Updates.empty())
-    return true;
-  for (const auto &[Thread, Count] : Updates)
-    if (Thread > MaxSpanThread || Count > MaxAccessCounter) {
-      noteOverflow();
-      return false;
-    }
-  Out.push_back(static_cast<uint64_t>(LogSection::Counters));
-  Out.push_back(Updates.size());
-  for (const auto &[Thread, Count] : Updates) {
-    Out.push_back(Thread);
-    Out.push_back(Count);
-  }
-  return true;
-}
-
-void light::encodeGuardSections(std::vector<uint64_t> &Out,
-                                const GuardSpec &Guards) {
-  Out.push_back(static_cast<uint64_t>(LogSection::GuardExact));
-  Out.push_back(Guards.Exact.size());
-  for (LocationId L : Guards.Exact)
-    Out.push_back(L);
-  Out.push_back(static_cast<uint64_t>(LogSection::GuardFields));
-  Out.push_back(Guards.FieldIndices.size());
-  for (uint32_t F : Guards.FieldIndices)
-    Out.push_back(F);
-  Out.push_back(static_cast<uint64_t>(LogSection::GuardGlobals));
-  Out.push_back(Guards.GlobalIds.size());
-  for (uint64_t G : Guards.GlobalIds)
-    Out.push_back(G);
-}
-
-namespace {
-
-std::vector<std::pair<ThreadId, Counter>>
-counterUpdates(const std::vector<Counter> &FinalCounters) {
-  std::vector<std::pair<ThreadId, Counter>> Updates;
-  for (size_t T = 0; T < FinalCounters.size(); ++T)
-    Updates.emplace_back(static_cast<ThreadId>(T), FinalCounters[T]);
-  return Updates;
-}
-
-} // namespace
-
-uint64_t RecordingLog::saveDurable(const std::string &Path) const {
-  DurableLogWriter Writer(Path);
-  std::vector<uint64_t> Payload;
-  if (!encodeSpanSection(Payload, Spans.data(), Spans.size()))
-    return 0;
-  encodeSyscallSection(Payload, Syscalls.data(), Syscalls.size());
-  encodeSpawnSection(Payload, Spawns);
-  if (!encodeCounterSection(Payload, counterUpdates(FinalCounters)))
-    return 0;
-  encodeGuardSections(Payload, Guards);
-  if (!Writer.writeSegment(Payload) || !Writer.closeClean())
-    return 0;
-  return Writer.wordsWritten();
-}
-
 uint64_t RecordingLog::saveCompact(const std::string &Path) const {
-  DurableLogWriter Writer(Path, CompressedFileMagic);
+  // Encode first: an overflowing record must not leave a header-only file
+  // that load() would salvage as an empty recording.
   CompressedSegmentEncoder Enc;
   if (!Enc.addSpans(Spans.data(), Spans.size()) ||
       !Enc.addSyscalls(Syscalls.data(), Syscalls.size()) ||
@@ -205,6 +49,7 @@ uint64_t RecordingLog::saveCompact(const std::string &Path) const {
       !Enc.addCounters(counterUpdates(FinalCounters)) ||
       !Enc.addGuards(Guards))
     return 0;
+  DurableLogWriter Writer(Path);
   if (!Writer.writeSegment(Enc.finish()) || !Writer.closeClean())
     return 0;
   return Writer.wordsWritten();
@@ -262,7 +107,8 @@ bool RecordingLog::load(const std::string &Path, LogLoadReport &Report) {
   Report.FormatVersion = 1;
   LongReader Reader(Path);
   if (!Reader.ok() || Reader.size() < 2 || Reader.get() != LogMagic) {
-    Report.Error = "'" + Path + "' is not a readable LIGHT001/LIGHT002 log";
+    Report.Error =
+        "'" + Path + "' is not a readable LIGHT001/LIGHT002/LIGHT003 log";
     return false;
   }
 

@@ -10,31 +10,35 @@
 /// and final per-thread access counters. This is what the Light recorder
 /// dumps to disk and what the replay phase consumes.
 ///
-/// Three on-disk formats are supported:
+/// One format is written and three are read:
 ///
-///  * LIGHT001 — the legacy single-shot format save() writes: one magic word
-///    followed by the five sections, valid only when written to completion.
+///  * LIGHT003 — the only format the program writes: the durable segmented
+///    container (support/DurableLog) — checksummed, length-framed segments
+///    — carrying varint/delta-compressed section payloads
+///    (trace/SegmentCodec). The recorder appends one segment per epoch, so
+///    a crashed process leaves a salvageable prefix; saveCompact() writes a
+///    finished log as one segment. Delta bases reset per segment, so every
+///    salvaged prefix decodes independently and streams one segment at a
+///    time.
 ///
-///  * LIGHT002 — the durable segmented container (support/DurableLog):
-///    checksummed, length-framed segments whose payloads are sequences of
-///    tagged sections (LogSection). The recorder appends one segment per
-///    epoch, so a crashed process leaves a salvageable prefix; load()
-///    recovers it and reports what was lost through LogLoadReport.
+///  * LIGHT002 — read only: the same container with word-oriented section
+///    payloads, written by earlier versions of the recorder.
 ///
-///  * LIGHT003 — the same durable container carrying varint/delta-compressed
-///    section payloads (trace/SegmentCodec), the scale format: ~5x smaller
-///    than LIGHT001 and streamable one segment at a time. Delta bases reset
-///    per segment, so every salvaged prefix decodes independently.
+///  * LIGHT001 — read only: one magic word followed by the five sections as
+///    plain 64-bit words, valid only when written to completion.
 ///
 /// load() dispatches on the magic word, so all formats stay loadable
-/// through one entry point; the durable formats stream through
-/// trace/SegmentReader with a bounded decode buffer.
+/// through one entry point and report what was lost through
+/// LogLoadReport; the durable formats stream through trace/SegmentReader
+/// with a bounded decode buffer. tests/data/legacy holds golden LIGHT001
+/// and LIGHT002 logs that pin the readers.
 ///
 /// Space accounting: the paper measures space in "Long-integer" units
 /// (Section 5.2), directly counting the long integers recorded. spaceLongs()
-/// returns exactly the number of 64-bit words the serialized log occupies in
-/// LIGHT001 (all sections, not just spans — spaceBreakdown() itemizes), so
-/// Figure 5 / Figure 7b come from real serialized sizes.
+/// returns exactly the number of 64-bit words the log occupies in the plain
+/// word encoding of LIGHT001, minus its magic word (all sections, not just
+/// spans — spaceBreakdown() itemizes), so Figure 5 / Figure 7b count every
+/// recorded long integer without writing a file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,20 +49,21 @@
 #include "trace/GuardSpec.h"
 
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace light {
 
-/// Section tags inside a LIGHT002 segment payload. Each section is encoded
-/// as [tag][record count][records...]. Spans and Syscalls sections append to
+/// Section tags inside a durable segment payload (LIGHT003, and the legacy
+/// LIGHT002). Each section is [tag][record count][records...]; the record
+/// packing differs per format (trace/SegmentCodec). Spans and Syscalls
+/// sections append to
 /// what earlier segments carried; Spawns, Counters, and the Guard sections
 /// supersede it (the recorder re-emits them as they grow, and counters only
 /// ever move forward).
 enum class LogSection : uint64_t {
-  Spans = 1,        ///< 4 words per span, same packing as LIGHT001
+  Spans = 1,        ///< dependence spans
   Syscalls = 2,     ///< (thread, value) pairs
-  Spawns = 3,       ///< packed spawn words; replaces the table
+  Spawns = 3,       ///< spawn records; replaces the table
   Counters = 4,     ///< (thread, counter) pairs; per-thread maximum wins
   GuardExact = 5,   ///< guarded LocationIds; replaces the set
   GuardFields = 6,  ///< guarded field indices; replaces the set
@@ -70,9 +75,9 @@ enum class LogSection : uint64_t {
 /// cut during salvage.
 struct LogLoadReport {
   uint32_t FormatVersion = 0;    ///< 1, 2, or 3 (LIGHT001/002/003)
-  bool CleanClose = false;       ///< LIGHT002 clean-close marker present
+  bool CleanClose = false;       ///< durable clean-close marker present
   bool Salvaged = false;         ///< recovered a prefix of a crashed log
-  uint64_t SegmentsRecovered = 0;///< LIGHT002 segments decoded
+  uint64_t SegmentsRecovered = 0;///< durable segments decoded
   uint64_t SegmentsDropped = 0;  ///< segments cut with the torn tail
   uint64_t WordsDropped = 0;     ///< words cut with the torn tail
   std::string Error;             ///< set when load() returns false
@@ -91,7 +96,7 @@ struct RecordingLog {
 
   /// Final access-counter value per thread id (index = ThreadId); used by
   /// the replayer to sanity-check termination. After salvaging a crashed
-  /// LIGHT002 log the values are synthesized from the recovered spans when
+  /// durable log the values are synthesized from the recovered spans when
   /// the recorded table stops short of them.
   std::vector<Counter> FinalCounters;
 
@@ -100,8 +105,8 @@ struct RecordingLog {
   /// to these locations ungated and never treats their writes as blind.
   GuardSpec Guards;
 
-  /// Per-section serialized size in long-integer (64-bit word) units of
-  /// the LIGHT001 encoding, count words included. Exposed so the space
+  /// Per-section size in long-integer (64-bit word) units of the plain
+  /// LIGHT001 word encoding, count words included. Exposed so the space
   /// benches can itemize where the trace bytes go.
   struct SpaceBreakdown {
     uint64_t SpanWords = 0;    ///< 1 + 4 per span
@@ -116,39 +121,25 @@ struct RecordingLog {
   };
   SpaceBreakdown spaceBreakdown() const;
 
-  /// Number of long-integer units the serialized log occupies: every
-  /// section save() writes (spans, syscalls, spawns, counters, guards),
-  /// i.e. save()'s return value minus the magic word. This used to count
-  /// the span section alone, silently under-reporting trace size in the
-  /// space evaluation.
+  /// Number of long-integer units the log occupies in the plain word
+  /// encoding: every section (spans, syscalls, spawns, counters, guards),
+  /// i.e. a LIGHT001 file's size in words minus its magic word.
   uint64_t spaceLongs() const { return spaceBreakdown().total(); }
 
-  /// Serializes the log to \p Path using the buffered LongWriter scheme
-  /// (legacy LIGHT001 format — the one the space evaluation counts).
-  /// Returns the number of long-integer units written (all sections), or 0
-  /// when a record exceeds a wire width (record.overflow is bumped and
-  /// nothing usable is written).
-  uint64_t save(const std::string &Path) const;
-
-  /// Serializes the log to \p Path as a LIGHT002 durable container: one
-  /// segment holding every section, then the clean-close marker. Returns
-  /// the number of long-integer units written (including framing), or 0 on
-  /// I/O failure or record overflow.
-  uint64_t saveDurable(const std::string &Path) const;
-
-  /// Serializes the log to \p Path as a LIGHT003 compressed container
-  /// (same single-segment shape as saveDurable, varint payload). Returns
-  /// the number of long-integer units written (including framing), or 0 on
-  /// I/O failure or record overflow.
+  /// Serializes the log to \p Path as a LIGHT003 compressed container: one
+  /// segment holding every section, then the clean-close marker. The
+  /// payload is encoded before the file is created, so a record overflow
+  /// leaves no file behind. Returns the number of long-integer units
+  /// written (including framing), or 0 on I/O failure or record overflow.
   uint64_t saveCompact(const std::string &Path) const;
 
-  /// Loads a log written by save(), saveDurable(), saveCompact(), or a
-  /// crashed epoch recorder — the magic word selects the parser. A durable
-  /// file without its clean-close marker is salvaged: the longest valid
-  /// segment prefix becomes the log and the call still succeeds. Durable
-  /// formats stream through TraceSegmentReader (bounded memory). Returns
-  /// false on I/O error, unrecognized magic, or (LIGHT001 only) any
-  /// truncation.
+  /// Loads a LIGHT003 log written by saveCompact() or an epoch recorder
+  /// (crashed or not), or a legacy LIGHT001/LIGHT002 log — the magic word
+  /// selects the parser. A durable file without its clean-close marker is
+  /// salvaged: the longest valid segment prefix becomes the log and the
+  /// call still succeeds. Durable formats stream through TraceSegmentReader
+  /// (bounded memory). Returns false on I/O error, unrecognized magic, or
+  /// (LIGHT001 only) any truncation.
   bool load(const std::string &Path);
 
   /// Same, and additionally reports format, clean/salvage status, and how
@@ -162,7 +153,7 @@ struct RecordingLog {
 /// What the CI pipeline's salvage stage recovered from a (possibly torn,
 /// possibly absent) recording left behind by a dead child.
 struct SalvageOutcome {
-  /// A log with at least the LIGHT002 header was found and parsed; Log and
+  /// A log with at least a recognized header was found and parsed; Log and
   /// Report are meaningful. False means there is nothing to salvage — no
   /// file, or not a recording — and Error says why.
   bool Loaded = false;
@@ -182,22 +173,6 @@ struct SalvageOutcome {
 /// dropped after the scan, deterministically simulating a tear deeper than
 /// the one on disk.
 SalvageOutcome salvageRecording(const std::string &Path);
-
-/// Encoders for LIGHT002 segment payloads, shared by saveDurable() and the
-/// epoch recorder. Each appends one complete section to \p Out. The span
-/// and counter encoders return false (after bumping record.overflow, with
-/// \p Out unchanged) when a record exceeds a wire width — the structured
-/// replacement for what used to be assert-only packing guards.
-bool encodeSpanSection(std::vector<uint64_t> &Out, const DepSpan *Spans,
-                       size_t N);
-void encodeSyscallSection(std::vector<uint64_t> &Out,
-                          const SyscallRecord *Calls, size_t N);
-void encodeSpawnSection(std::vector<uint64_t> &Out,
-                        const std::vector<SpawnRecord> &Spawns);
-bool encodeCounterSection(
-    std::vector<uint64_t> &Out,
-    const std::vector<std::pair<ThreadId, Counter>> &Updates);
-void encodeGuardSections(std::vector<uint64_t> &Out, const GuardSpec &Guards);
 
 } // namespace light
 

@@ -13,11 +13,6 @@
 
 using namespace light;
 
-uint64_t light::packSpawnWord(const SpawnRecord &R) {
-  return (static_cast<uint64_t>(R.Parent) << 48) |
-         (static_cast<uint64_t>(R.SpawnIndex) << 16) | R.Child;
-}
-
 SpawnRecord light::unpackSpawnWord(uint64_t W) {
   SpawnRecord R;
   R.Parent = static_cast<ThreadId>(W >> 48);
@@ -27,7 +22,7 @@ SpawnRecord light::unpackSpawnWord(uint64_t W) {
 }
 
 //===----------------------------------------------------------------------===//
-// LIGHT002 word-oriented payload decoding
+// LIGHT002 word-oriented payload decoding (legacy, read only)
 //===----------------------------------------------------------------------===//
 
 bool light::decodeSegmentWords(const std::vector<uint64_t> &P,
@@ -211,15 +206,19 @@ constexpr size_t MaxSpanBytes = 1 + 2 * 3 + 4 * MaxVarintBytes;
 
 } // namespace
 
+bool CompressedSegmentEncoder::overflow() {
+  overflowCounter().add(1);
+  Overflowed = true;
+  return false;
+}
+
 bool CompressedSegmentEncoder::addSpans(const DepSpan *Spans, size_t N) {
   if (!N)
     return true;
   ThreadId MaxThread = 0;
   for (size_t I = 0; I < N; ++I) {
-    if (!spanEncodable(Spans[I])) {
-      overflowCounter().add(1);
-      return false;
-    }
+    if (!spanEncodable(Spans[I]))
+      return overflow();
     MaxThread = std::max(MaxThread, Spans[I].Thread);
   }
   size_t Start = Bytes.size();
@@ -282,10 +281,8 @@ bool CompressedSegmentEncoder::addCounters(
   if (Updates.empty())
     return true;
   for (const auto &[Thread, Count] : Updates)
-    if (Thread > MaxSpanThread || Count > MaxAccessCounter) {
-      overflowCounter().add(1);
-      return false;
-    }
+    if (Thread > MaxSpanThread || Count > MaxAccessCounter)
+      return overflow();
   v3::putVarint(Bytes, static_cast<uint64_t>(LogSection::Counters));
   v3::putVarint(Bytes, Updates.size());
   for (const auto &[Thread, Count] : Updates) {

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Encoders and decoders for the segment payloads stored inside the durable
-/// container (support/DurableLog): the word-oriented LIGHT002 sections and
-/// the compressed LIGHT003 varint stream. RecordingLog and the epoch
-/// recorder serialize through these; the streaming TraceSegmentReader and
-/// whole-file load() decode through them.
+/// container (support/DurableLog): the compressed LIGHT003 varint stream,
+/// which RecordingLog::saveCompact() and the epoch recorder write, and the
+/// word-oriented sections of the legacy LIGHT002 format, which are only
+/// read. The streaming TraceSegmentReader and whole-file load() decode
+/// through them.
 ///
 /// LIGHT003 payload layout:
 ///
@@ -17,7 +18,7 @@
 ///   words 1..:       ceil(B/8) words holding the byte stream, zero-padded
 ///
 /// The byte stream is a sequence of sections [varint tag][varint count]
-/// [records], same tags and append/replace semantics as LIGHT002. Span
+/// [records], with the LogSection tags and append/replace semantics. Span
 /// records are delta-encoded:
 ///
 ///   flags            1 byte: kind(2) | src-valid(1)
@@ -30,8 +31,8 @@
 ///   src count        zigzag delta vs. First (src-valid only)
 ///
 /// All delta bases reset at every section (hence every segment), so any
-/// salvaged segment prefix decodes independently — the salvage guarantees
-/// of the LIGHT002 container carry over unchanged.
+/// salvaged segment prefix decodes independently — the container's salvage
+/// guarantees hold per segment.
 ///
 /// Every encoder checks the wire-width limits (spanEncodable, the Ids.h
 /// Max* constants) before packing and reports an overflow as a structured
@@ -46,13 +47,13 @@
 #include "trace/RecordingLog.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace light {
 
-/// Spawn-record word packing shared by LIGHT001 and LIGHT002:
+/// Spawn-record word of the legacy LIGHT001 and LIGHT002 formats:
 /// parent(16) | spawnIndex(32) | child(16).
-uint64_t packSpawnWord(const SpawnRecord &R);
 SpawnRecord unpackSpawnWord(uint64_t W);
 
 /// Decodes one LIGHT002 word-oriented segment payload into \p Log
@@ -79,8 +80,8 @@ void putZigzag(std::vector<uint8_t> &Out, int64_t V);
 class CompressedSegmentEncoder {
 public:
   /// Appends one section each. A false return means a record exceeded a
-  /// wire width (record.overflow was bumped) and the payload must be
-  /// discarded.
+  /// wire width: record.overflow was bumped, the section was left out (the
+  /// payload is unchanged), and overflowed() latches.
   bool addSpans(const DepSpan *Spans, size_t N);
   bool addSyscalls(const SyscallRecord *Calls, size_t N);
   bool addSpawns(const std::vector<SpawnRecord> &Spawns);
@@ -90,11 +91,17 @@ public:
   bool empty() const { return Bytes.empty(); }
   uint64_t byteSize() const { return Bytes.size(); }
 
+  /// True once any section was left out for exceeding a wire width.
+  bool overflowed() const { return Overflowed; }
+
   /// Word-wraps the byte stream for the durable container.
   std::vector<uint64_t> finish() const;
 
 private:
   std::vector<uint8_t> Bytes;
+  bool Overflowed = false;
+
+  bool overflow();
 };
 
 } // namespace light

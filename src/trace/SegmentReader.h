@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Streams a LIGHT002/LIGHT003 durable recording one epoch segment at a
-/// time. This is the spine of the scale pipeline: RecordingLog::load() and
+/// Streams a LIGHT003 (or legacy LIGHT002) durable recording one epoch
+/// segment at a time. This is the spine of the scale pipeline: RecordingLog::load() and
 /// CI salvage run on it with a bounded decode buffer (one segment plus the
 /// holdback window), and the windowed offline solver consumes segments as
 /// they decode instead of materializing the whole file.

@@ -102,7 +102,6 @@ SchemeHook makeHook(Scheme S) {
     LightOptions Opts = S == Scheme::Light      ? LightOptions::both()
                         : S == Scheme::LightO1 ? LightOptions::o1Only()
                                                 : LightOptions::basic();
-    Opts.WriteToDisk = false; // symmetric in-memory logs for all schemes
     auto Rec = std::make_unique<LightRecorder>(Opts);
     H.Light = Rec.get();
     H.Hook = std::move(Rec);

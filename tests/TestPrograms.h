@@ -350,7 +350,6 @@ struct RecordOutcome {
 inline RecordOutcome recordRunWith(const mir::Program &Prog, uint64_t Seed,
                                    Scheduler &Sched,
                                    LightOptions Opts = LightOptions()) {
-  Opts.WriteToDisk = false;
   LightRecorder Rec(Opts);
   Machine M(Prog, Rec);
   M.seedEnvironment(Seed ^ 0x5a5a);

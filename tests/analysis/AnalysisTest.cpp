@@ -91,7 +91,6 @@ TEST(Lockset, O2ReplayWithRealGuardsIsFaithful) {
 
   for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
     LightOptions Opts; // V_both
-    Opts.WriteToDisk = false;
     LightRecorder Rec(Opts);
     Rec.setGuards(Spec);
     Machine M(P, Rec);

@@ -91,7 +91,6 @@ TEST(Leap, SpaceIsFarAboveLights) {
     ASSERT_TRUE(M.run(Sched).Completed);
   }
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   LightRecorder Light(Opts);
   {
     Machine M(P, Light);

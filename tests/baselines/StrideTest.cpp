@@ -81,7 +81,6 @@ TEST(Stride, SpaceComparableToLeapAndAboveLight) {
     ASSERT_TRUE(M.run(Sched).Completed);
   }
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   LightRecorder Light(Opts);
   {
     Machine M(P, Light);

@@ -7,13 +7,15 @@
 /// End-to-end crash tolerance: a recorder running with the durable epoch
 /// log (LightOptions::EpochSpans/EpochMs) is "crashed" mid-run via
 /// crashFlush() — crash-handler semantics: pending sections flushed, no
-/// clean-close marker, no finish() — and the salvaged LIGHT002 prefix must
+/// clean-close marker, no finish() — and the salvaged LIGHT003 prefix must
 /// solve and replay the original bug (Theorem 1 surviving a recorder
 /// death). Also covers the clean-shutdown epoch path, CRC rejection of a
-/// corrupted segment, and LIGHT001 back-compat.
+/// corrupted segment, and the golden LIGHT001/LIGHT002 logs still loading
+/// and replaying.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../GoldenLogs.h"
 #include "../TestPrograms.h"
 
 #include "obs/Metrics.h"
@@ -57,7 +59,6 @@ CrashedRecording recordAndCrash(const mir::Program &Prog, uint64_t Seed,
   CrashedRecording Out;
   Out.LogPath = makeTempPath("crashtol");
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   Opts.EpochSpans = EpochSpans;
   Opts.DurableLogPath = Out.LogPath;
   LightRecorder Rec(Opts);
@@ -83,7 +84,7 @@ TEST(CrashTolerance, SalvagedLogReproducesTheBug) {
   RecordingLog Log;
   LogLoadReport Report;
   ASSERT_TRUE(Log.load(Crash.LogPath, Report)) << Report.Error;
-  EXPECT_EQ(Report.FormatVersion, 2u);
+  EXPECT_EQ(Report.FormatVersion, 3u);
   EXPECT_FALSE(Report.CleanClose);
   EXPECT_TRUE(Report.Salvaged);
   EXPECT_GT(Report.SegmentsRecovered, 0u);
@@ -105,7 +106,6 @@ TEST(CrashTolerance, CleanEpochShutdownRoundTrips) {
   mir::Program Prog = lockedCounter(3, 4);
   std::string Path = makeTempPath("crashtol-clean");
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   Opts.EpochSpans = 2;
   Opts.DurableLogPath = Path;
   LightRecorder Rec(Opts);
@@ -120,7 +120,7 @@ TEST(CrashTolerance, CleanEpochShutdownRoundTrips) {
   RecordingLog FromDisk;
   LogLoadReport Report;
   ASSERT_TRUE(FromDisk.load(Path, Report)) << Report.Error;
-  EXPECT_EQ(Report.FormatVersion, 2u);
+  EXPECT_EQ(Report.FormatVersion, 3u);
   EXPECT_TRUE(Report.CleanClose);
   EXPECT_FALSE(Report.Salvaged);
 
@@ -153,7 +153,7 @@ TEST(CrashTolerance, BitFlippedSegmentIsRejectedBySalvage) {
   mir::Program Prog = counterRace(3, 4);
   RecordOutcome Rec = recordRun(Prog, 5);
   std::string Path = makeTempPath("crashtol-flip");
-  ASSERT_GT(Rec.Log.saveDurable(Path), 0u);
+  ASSERT_GT(Rec.Log.saveCompact(Path), 0u);
 
   // Corrupt one payload byte past the first segment frame; the CRC must
   // cut the log there instead of decoding garbage.
@@ -168,7 +168,7 @@ TEST(CrashTolerance, BitFlippedSegmentIsRejectedBySalvage) {
 
   RecordingLog Salvaged;
   LogLoadReport Report;
-  // saveDurable writes a single data segment, so cutting it leaves an
+  // saveCompact writes a single data segment, so cutting it leaves an
   // empty (but loadable) log.
   ASSERT_TRUE(Salvaged.load(Path, Report)) << Report.Error;
   EXPECT_TRUE(Report.Salvaged);
@@ -179,45 +179,41 @@ TEST(CrashTolerance, BitFlippedSegmentIsRejectedBySalvage) {
 }
 
 TEST(CrashTolerance, DurableSaveRoundTripsExactly) {
-  mir::Program Prog = waitNotify(3);
-  RecordOutcome Rec = recordRun(Prog, 3);
-  std::string Path = makeTempPath("crashtol-rt");
-  ASSERT_GT(Rec.Log.saveDurable(Path), 0u);
-
-  RecordingLog Loaded;
+  // The golden LIGHT002 epoch log — the durable format earlier recorders
+  // wrote — loads cleanly, matches the golden LIGHT001 log of the same run,
+  // and replays it faithfully.
+  mir::Program Prog = golden::program();
+  RecordingLog Loaded, Reference;
   LogLoadReport Report;
-  ASSERT_TRUE(Loaded.load(Path, Report)) << Report.Error;
+  ASSERT_TRUE(Loaded.load(golden::path(golden::Light002), Report))
+      << Report.Error;
   EXPECT_EQ(Report.FormatVersion, 2u);
   EXPECT_TRUE(Report.CleanClose);
-  ASSERT_EQ(Loaded.Spans.size(), Rec.Log.Spans.size());
-  for (size_t I = 0; I < Loaded.Spans.size(); ++I) {
-    EXPECT_EQ(Loaded.Spans[I].Loc, Rec.Log.Spans[I].Loc);
-    EXPECT_EQ(Loaded.Spans[I].Thread, Rec.Log.Spans[I].Thread);
-    EXPECT_EQ(Loaded.Spans[I].First, Rec.Log.Spans[I].First);
-    EXPECT_EQ(Loaded.Spans[I].Last, Rec.Log.Spans[I].Last);
-  }
-  EXPECT_EQ(Loaded.FinalCounters, Rec.Log.FinalCounters);
-  expectFaithfulReplay(Prog, {Rec.Result, Loaded});
-  std::remove(Path.c_str());
+  EXPECT_FALSE(Report.Salvaged);
+  EXPECT_EQ(Report.SegmentsRecovered, 6u);
+  ASSERT_TRUE(Reference.load(golden::path(golden::Light001)));
+  EXPECT_EQ(Loaded.Spans.size(), Reference.Spans.size());
+  EXPECT_EQ(Loaded.Syscalls.size(), Reference.Syscalls.size());
+  EXPECT_EQ(Loaded.Spawns.size(), Reference.Spawns.size());
+  EXPECT_EQ(Loaded.FinalCounters, Reference.FinalCounters);
+  expectFaithfulReplay(Prog, {golden::run(Prog), Loaded});
 }
 
 TEST(CrashTolerance, Light001BackCompat) {
-  // A log written by the legacy save() (still the default format, and the
-  // one the space evaluation counts) must keep loading unchanged.
-  mir::Program Prog = counterRace(2, 6);
-  RecordOutcome Rec = recordRun(Prog, 11);
-  std::string Path = makeTempPath("crashtol-v1");
-  ASSERT_GT(Rec.Log.save(Path), 0u);
-
+  // A log written by the legacy single-shot writer must keep loading
+  // unchanged, and replay the run it recorded.
+  mir::Program Prog = golden::program();
   RecordingLog Loaded;
   LogLoadReport Report;
-  ASSERT_TRUE(Loaded.load(Path, Report)) << Report.Error;
+  ASSERT_TRUE(Loaded.load(golden::path(golden::Light001), Report))
+      << Report.Error;
   EXPECT_EQ(Report.FormatVersion, 1u);
   EXPECT_FALSE(Report.Salvaged);
-  EXPECT_EQ(Loaded.Spans.size(), Rec.Log.Spans.size());
-  EXPECT_EQ(Loaded.FinalCounters, Rec.Log.FinalCounters);
-  expectFaithfulReplay(Prog, {Rec.Result, Loaded});
-  std::remove(Path.c_str());
+  EXPECT_EQ(Loaded.Spans.size(), 12u);
+  EXPECT_EQ(Loaded.Syscalls.size(), 1u);
+  EXPECT_EQ(Loaded.Spawns.size(), 2u);
+  EXPECT_EQ(Loaded.FinalCounters.size(), 3u);
+  expectFaithfulReplay(Prog, {golden::run(Prog), Loaded});
 }
 
 TEST(CrashTolerance, InterpThreadCrashFaultReportsARuntimeError) {
@@ -243,7 +239,6 @@ TEST(CrashTolerance, SalvageTruncateFaultDropsTailSegments) {
   mir::Program Prog = lockedCounter(3, 6);
   std::string Path = makeTempPath("crashtol-truncfault");
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   Opts.EpochSpans = 2;
   Opts.DurableLogPath = Path;
   LightRecorder Rec(Opts);

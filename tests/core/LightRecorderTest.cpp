@@ -26,7 +26,6 @@ struct Driver {
   LocationId Y = loc::var(2);
 
   explicit Driver(LightOptions Opts) : Rec([&] {
-    Opts.WriteToDisk = false;
     return Opts;
   }()) {}
 
@@ -166,7 +165,6 @@ TEST(LightRecorder, RmwHeadsOwnSpanWithSource) {
 
 TEST(LightRecorder, O2SkipsGuardedLocations) {
   LightOptions Opts = LightOptions::both();
-  Opts.WriteToDisk = false;
   LightRecorder Rec(Opts);
   GuardSpec Guards;
   Guards.Exact.push_back(loc::var(1));
@@ -199,20 +197,4 @@ TEST(LightRecorder, SpaceAccountingMatchesSpans) {
   D.read(2, loc::var(2)); // init span on y
   RecordingLog Log = D.finish();
   EXPECT_EQ(D.Rec.longIntegersRecorded(), Log.Spans.size() * 4);
-}
-
-TEST(LightRecorder, DiskFlushProducesFiles) {
-  LightOptions Opts = LightOptions::basic();
-  Opts.WriteToDisk = true;
-  Opts.FlushThresholdSpans = 4;
-  Opts.LogDir = "/tmp";
-  LightRecorder Rec(Opts);
-  LocMeta MX, MY;
-  for (int I = 0; I < 20; ++I) {
-    // Alternate sources so every read starts a fresh span.
-    Rec.onWrite(1, loc::var(1), MX, [] {});
-    Rec.onRead(2, loc::var(1), MX, [] {});
-  }
-  RecordingLog Log = Rec.finish();
-  EXPECT_GE(Log.Spans.size(), 19u);
 }

@@ -136,7 +136,7 @@ TEST(RecordReplay, LogRoundTripsThroughDisk) {
   mir::Program Prog = counterRace(2, 4);
   RecordOutcome Rec = recordRun(Prog, 11);
   std::string Path = makeTempPath("roundtrip");
-  Rec.Log.save(Path);
+  ASSERT_GT(Rec.Log.saveCompact(Path), 0u);
   RecordingLog Loaded;
   ASSERT_TRUE(Loaded.load(Path));
   ASSERT_EQ(Loaded.Spans.size(), Rec.Log.Spans.size());

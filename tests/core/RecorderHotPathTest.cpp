@@ -61,7 +61,6 @@ struct ObservedRead {
 /// span of A may run from c across that next write.
 void recordAndCheckTaggedTraffic(LightOptions Opts, uint32_t Threads,
                                  int Ops) {
-  Opts.WriteToDisk = false;
   LightRecorder Rec(Opts);
   Runtime RT(Rec);
   std::vector<std::unique_ptr<SharedVar>> Vars;
@@ -212,9 +211,7 @@ public:
 TEST(EpochDeferral, NoDurableSegmentWhileTheWriterHoldsALock) {
   std::string Path = makeTempPath("deferral");
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   Opts.EpochSpans = 8;
-  Opts.CompressedEpochs = true;
   Opts.DurableLogPath = Path;
   LightRecorder Rec(Opts);
   std::atomic<uint64_t> FlushesInsideLock{0}, Flushes{0};
@@ -304,7 +301,6 @@ TEST(EpochDeferral, LongLockSectionFlushesAtTheCap) {
   // the release the deferred rest flushes at thread 1's next access.
   std::string Path = makeTempPath("defercap");
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   Opts.EpochSpans = 2;
   Opts.DurableLogPath = Path;
   LightRecorder Rec(Opts);
@@ -353,7 +349,6 @@ bool recordEndsOutsideLocks(const mir::Program &Prog, uint64_t Seed,
                             const std::string &Name) {
   std::string Path = makeTempPath("depth");
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   Opts.EpochSpans = 2;
   Opts.DurableLogPath = Path;
   LightRecorder Rec(Opts);

@@ -67,7 +67,6 @@ struct RunArtifacts {
 
 RunArtifacts recordReal(uint64_t Seed, int Threads, int Ops) {
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   LightRecorder Rec(Opts);
   Runtime RT(Rec);
   std::vector<std::unique_ptr<SharedVar>> Vars;

@@ -243,7 +243,6 @@ TEST(WindowedSchedule, StreamedEpochLogReplaysFaithfully) {
   LightOptions Opts;
   Opts.EpochSpans = 4;
   Opts.DurableLogPath = Path;
-  Opts.CompressedEpochs = true;
   RecordOutcome Rec = recordRun(Prog, 13, Opts);
   ASSERT_FALSE(Rec.Log.Spans.empty());
 

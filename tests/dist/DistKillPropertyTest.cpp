@@ -111,7 +111,6 @@ TEST_P(DistKillProperty, SalvagedCutReplaysFaithfully) {
   Opts.Seed = Seed;
   Opts.LogBase = makeTempPath("distprop");
   Opts.EpochSpans = 2;
-  Opts.Compress = R.below(2) == 0;
   dist::DistRecordResult DR = dist::runDistRecord(Prog, Opts);
   // Faults target the recording children only; salvage and replay run
   // disarmed.

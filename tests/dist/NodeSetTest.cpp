@@ -200,17 +200,21 @@ TEST(NodeSet, CleanPingPongSolvesAFullScheduleAndReplays) {
 }
 
 TEST(NodeSet, CompressedEpochsSalvageTheSamePipeline) {
+  // Every node writes its epoch log as compressed LIGHT003, and the merged
+  // pipeline salvages, solves and replays from those logs.
   Program Prog = nodePingPong();
   dist::DistOptions Opts;
   Opts.Nodes = 2;
   Opts.Seed = 3;
   Opts.LogBase = makeTempPath("nodeset-compress");
   Opts.EpochSpans = 2;
-  Opts.Compress = true;
   DistPipelineOutcome Out = runDistPipeline(Prog, Opts);
   ASSERT_TRUE(Out.Record.Started) << Out.Record.Error;
   ASSERT_TRUE(Out.Merge.Loaded) << Out.Merge.Error;
   EXPECT_TRUE(Out.Merge.FullSchedule);
+  ASSERT_EQ(Out.Merge.Nodes.size(), 2u);
+  for (const dist::NodeSalvage &NS : Out.Merge.Nodes)
+    EXPECT_EQ(NS.Epoch.Report.FormatVersion, 3u);
   ASSERT_TRUE(Out.Solved) << Out.Merge.Error;
   EXPECT_TRUE(Out.structured());
   removeNodeLogs(Opts.LogBase, 2);

@@ -29,7 +29,6 @@ namespace {
 /// Wall time for Ops write+read pairs against a fresh recorder.
 double trialSeconds(bool Telemetry, int Ops) {
   LightOptions O = LightOptions::both();
-  O.WriteToDisk = false;
   O.Telemetry = Telemetry;
   LightRecorder Rec(O);
   Runtime RT(Rec);

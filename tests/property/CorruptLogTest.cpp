@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Property: RecordingLog::load() never crashes, asserts, or decodes
-/// garbage on arbitrarily mangled input. Both on-disk formats are mangled
-/// with random truncations and bit flips; every load must either fail
-/// cleanly (with an error in the report) or produce a log whose constraint
-/// system still builds and solves without tripping anything.
+/// garbage on arbitrarily mangled input. Every format load() reads is
+/// mangled with random truncations and bit flips: the golden LIGHT001 and
+/// LIGHT002 logs, a saveCompact() LIGHT003 log, and a multi-segment LIGHT003
+/// epoch log. Every load must either fail cleanly (with an error in the
+/// report) or produce a log whose constraint system still builds and solves
+/// without tripping anything.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../GoldenLogs.h"
 #include "../TestPrograms.h"
 #include "support/Random.h"
 #include "testlib/TestEnv.h"
@@ -25,19 +28,6 @@ using namespace light;
 using namespace light::testprogs;
 
 namespace {
-
-std::vector<unsigned char> slurp(const std::string &Path) {
-  std::vector<unsigned char> Bytes;
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return Bytes;
-  unsigned char Buf[4096];
-  size_t Got;
-  while ((Got = std::fread(Buf, 1, sizeof Buf, F)) > 0)
-    Bytes.insert(Bytes.end(), Buf, Buf + Got);
-  std::fclose(F);
-  return Bytes;
-}
 
 void spit(const std::string &Path, const std::vector<unsigned char> &Bytes) {
   std::FILE *F = std::fopen(Path.c_str(), "wb");
@@ -86,19 +76,10 @@ void checkMangled(const std::string &Path) {
 
 class CorruptLog : public ::testing::Test {
 protected:
-  void runProperty(bool Durable, uint64_t SeedBase) {
+  void runProperty(const std::vector<unsigned char> &Orig, uint64_t SeedBase) {
     uint64_t Seed = testenv::effectiveSeed(SeedBase);
     SCOPED_TRACE(testenv::repro(Seed));
-    mir::Program Prog = counterRace(3, 5);
-    RecordOutcome Rec = recordRun(Prog, 7);
-    std::string Clean = makeTempPath("corrupt-src");
-    if (Durable)
-      ASSERT_GT(Rec.Log.saveDurable(Clean), 0u);
-    else
-      ASSERT_GT(Rec.Log.save(Clean), 0u);
-    std::vector<unsigned char> Orig = slurp(Clean);
     ASSERT_FALSE(Orig.empty());
-
     std::string Mangled = makeTempPath("corrupt-mut");
     Rng R(Seed);
     int Trials = 120 * testenv::iters(1);
@@ -106,17 +87,43 @@ protected:
       spit(Mangled, mutate(Orig, R));
       checkMangled(Mangled);
     }
-    std::remove(Clean.c_str());
     std::remove(Mangled.c_str());
+  }
+
+  /// The bytes of a LIGHT003 log of a recorded counter race: one
+  /// saveCompact() segment, or 2-span epochs (many segments).
+  std::vector<unsigned char> light003(bool Epochs) {
+    mir::Program Prog = counterRace(3, 5);
+    std::string Path = makeTempPath("corrupt-src");
+    LightOptions Opts;
+    if (Epochs) {
+      Opts.EpochSpans = 2;
+      Opts.DurableLogPath = Path;
+    }
+    RecordOutcome Rec = recordRun(Prog, 7, Opts);
+    if (!Epochs) {
+      EXPECT_GT(Rec.Log.saveCompact(Path), 0u);
+    }
+    std::vector<unsigned char> Bytes = golden::bytes(Path);
+    std::remove(Path.c_str());
+    return Bytes;
   }
 };
 
 TEST_F(CorruptLog, Light002NeverCrashesOnMangledInput) {
-  runProperty(/*Durable=*/true, 0xd1ce);
+  runProperty(golden::bytes(golden::path(golden::Light002)), 0xd1ce);
 }
 
 TEST_F(CorruptLog, Light001NeverCrashesOnMangledInput) {
-  runProperty(/*Durable=*/false, 0xfeed);
+  runProperty(golden::bytes(golden::path(golden::Light001)), 0xfeed);
+}
+
+TEST_F(CorruptLog, Light003NeverCrashesOnMangledInput) {
+  runProperty(light003(/*Epochs=*/false), 0xc0de);
+}
+
+TEST_F(CorruptLog, Light003EpochLogNeverCrashesOnMangledInput) {
+  runProperty(light003(/*Epochs=*/true), 0xe90c);
 }
 
 TEST_F(CorruptLog, EmptyAndTinyFiles) {

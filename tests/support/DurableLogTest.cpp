@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The LIGHT002 segmented container (support/DurableLog.h): framing,
+/// The durable segmented container (support/DurableLog.h): framing,
 /// CRC32C validation, clean-close detection, and salvage of torn or
 /// corrupted logs — the storage layer under the crash-tolerant recorder.
 ///

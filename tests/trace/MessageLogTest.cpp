@@ -8,7 +8,7 @@
 /// trips, and every failure mode a SIGKILLed node leaves behind — missing
 /// file, torn trailing record, CRC-corrupted record. Salvage must hand
 /// the causal-cut computation the longest valid prefix, mirroring the
-/// LIGHT002 torn-tail contract.
+/// durable recording log's torn-tail contract.
 ///
 //===----------------------------------------------------------------------===//
 

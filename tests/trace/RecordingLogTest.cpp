@@ -6,6 +6,7 @@
 
 #include "trace/RecordingLog.h"
 
+#include "../GoldenLogs.h"
 #include "support/BinaryIO.h"
 
 #include <gtest/gtest.h>
@@ -59,11 +60,14 @@ RecordingLog sampleLog() {
 TEST(RecordingLog, SaveLoadRoundTrip) {
   RecordingLog Log = sampleLog();
   std::string Path = makeTempPath("reclog");
-  uint64_t Words = Log.save(Path);
-  EXPECT_GT(Words, 10u);
+  uint64_t Words = Log.saveCompact(Path);
+  EXPECT_GT(Words, 4u);
 
   RecordingLog Loaded;
-  ASSERT_TRUE(Loaded.load(Path));
+  LogLoadReport Report;
+  ASSERT_TRUE(Loaded.load(Path, Report)) << Report.Error;
+  EXPECT_EQ(Report.FormatVersion, 3u);
+  EXPECT_TRUE(Report.CleanClose);
   ASSERT_EQ(Loaded.Spans.size(), Log.Spans.size());
   for (size_t I = 0; I < Log.Spans.size(); ++I)
     EXPECT_EQ(Loaded.Spans[I], Log.Spans[I]);
@@ -93,16 +97,17 @@ TEST(RecordingLog, RejectsGarbage) {
 }
 
 TEST(RecordingLog, SpaceAccountingCountsEverySection) {
-  RecordingLog Log = sampleLog();
-  // spaceLongs() is pinned to the real serialized size: exactly what save()
-  // writes minus the magic word. It used to count the span section alone,
-  // under-reporting every other section in the space evaluation.
-  std::string Path = makeTempPath("reclog-space");
-  uint64_t Saved = Log.save(Path);
-  ASSERT_GT(Saved, 0u);
-  EXPECT_EQ(Log.spaceLongs(), Saved - 1);
-  std::remove(Path.c_str());
+  // spaceLongs() is pinned to a real serialized size: the golden LIGHT001
+  // file is its magic word plus spaceLongs() words. It used to count the
+  // span section alone, under-reporting every other section in the space
+  // evaluation.
+  std::string Path = golden::path(golden::Light001);
+  RecordingLog Golden;
+  ASSERT_TRUE(Golden.load(Path));
+  ASSERT_FALSE(Golden.Syscalls.empty());
+  EXPECT_EQ(golden::bytes(Path).size(), (Golden.spaceLongs() + 1) * 8);
 
+  RecordingLog Log = sampleLog();
   RecordingLog::SpaceBreakdown B = Log.spaceBreakdown();
   EXPECT_EQ(B.SpanWords, 1 + Log.Spans.size() * 4);
   EXPECT_EQ(B.SyscallWords, 1 + Log.Syscalls.size() * 2);
@@ -148,7 +153,7 @@ TEST(SalvageRecording, MissingFileIsNotLoaded) {
 TEST(SalvageRecording, CleanSaveIsUsable) {
   RecordingLog Log = sampleLog();
   std::string Path = makeTempPath("salvage-clean");
-  ASSERT_GT(Log.save(Path), 0u);
+  ASSERT_GT(Log.saveCompact(Path), 0u);
   SalvageOutcome S = salvageRecording(Path);
   EXPECT_TRUE(S.Loaded) << S.Error;
   EXPECT_TRUE(S.UsablePrefix);

@@ -7,11 +7,11 @@
 #include "workloads/OverheadHarness.h"
 
 #include "../TestPrograms.h"
+#include "support/Affinity.h"
 #include "workloads/BusArbiter.h"
 
 #include <gtest/gtest.h>
 
-#include <sched.h>
 #include <set>
 
 using namespace light;
@@ -27,36 +27,6 @@ WorkloadSpec shrunk(const char *Name, int Divisor = 8) {
   Out.Threads = 4;
   return Out;
 }
-
-/// Restricts the calling thread, and every thread it spawns meanwhile, to
-/// one CPU for the guard's lifetime, so the workers time-slice instead of
-/// running in parallel. ok() is false when the mask could not be set.
-class OneCpu {
-  cpu_set_t Saved;
-  bool Ok = false;
-
-public:
-  OneCpu() {
-    if (sched_getaffinity(0, sizeof(Saved), &Saved) != 0)
-      return;
-    cpu_set_t One;
-    CPU_ZERO(&One);
-    for (int C = 0; C < CPU_SETSIZE; ++C)
-      if (CPU_ISSET(C, &Saved)) {
-        CPU_SET(C, &One);
-        break;
-      }
-    Ok = sched_setaffinity(0, sizeof(One), &One) == 0;
-  }
-  ~OneCpu() {
-    if (Ok)
-      sched_setaffinity(0, sizeof(Saved), &Saved);
-  }
-  OneCpu(const OneCpu &) = delete;
-  OneCpu &operator=(const OneCpu &) = delete;
-
-  bool ok() const { return Ok; }
-};
 
 } // namespace
 

@@ -75,7 +75,7 @@
 /// `crashtest` is the end-to-end fault-tolerance exercise: it forks a
 /// child that records the buggy run with the durable epoch log enabled
 /// and dies at the bug *without* closing the log cleanly (crash-handler
-/// semantics), then the parent salvages the torn LIGHT002 prefix, solves
+/// semantics), then the parent salvages the torn LIGHT003 prefix, solves
 /// it, and verifies the replay reproduces the original bug. With
 /// `--fault log.crash_at_epoch=N` the child's log write itself is killed
 /// mid-epoch (SIGKILL semantics: a torn segment tail on disk), and the
@@ -162,8 +162,6 @@ int usage() {
       "                         to N threads (default auto; 1 = monolithic)\n"
       "  --epoch-spans <N>      durable epoch log: flush every N spans\n"
       "  --epoch-ms <N>         durable epoch log: flush every N ms\n"
-      "  --compress             write durable epochs in the compressed\n"
-      "                         LIGHT003 format (needs --epoch-spans/-ms)\n"
       "  --stream               replay: stream the log segment by segment\n"
       "                         and solve in bounded windows instead of\n"
       "                         loading + solving monolithically\n"
@@ -445,15 +443,11 @@ struct EpochFlags {
 /// completed cleanly.
 [[noreturn]] void crashtestChild(const mir::Program &Prog, uint64_t Seed,
                                  const std::string &DurablePath,
-                                 const EpochFlags &Epochs, bool Compress) {
+                                 const EpochFlags &Epochs) {
   LightOptions Opts;
-  Opts.WriteToDisk = false;
   Opts.EpochSpans = Epochs.Spans ? Epochs.Spans : 4;
   Opts.EpochMs = Epochs.Ms;
   Opts.DurableLogPath = DurablePath;
-  // --compress: the child dies on a compressed LIGHT003 log, so the
-  // parent's salvage exercises torn-tail recovery of the packed format.
-  Opts.CompressedEpochs = Compress;
   LightRecorder Rec(Opts);
   Machine M(Prog, Rec);
   Rec.attachRegistry(&M.registry());
@@ -472,7 +466,7 @@ struct EpochFlags {
 /// its durable log, and verify the replay. Returns the process exit code.
 int runCrashtest(const mir::Program &Prog, uint64_t Seed,
                  const std::string &DurablePath, const EpochFlags &Epochs,
-                 bool Compress, bool UseZ3, unsigned SolverShards) {
+                 bool UseZ3, unsigned SolverShards) {
   // The reference outcome: the same seed under a plain run (recording does
   // not perturb the cooperative schedule, so this is the bug the salvaged
   // log must reproduce).
@@ -497,7 +491,7 @@ int runCrashtest(const mir::Program &Prog, uint64_t Seed,
     return 1;
   }
   if (Pid == 0)
-    crashtestChild(Prog, Seed, DurablePath, Epochs, Compress);
+    crashtestChild(Prog, Seed, DurablePath, Epochs);
 
   int Status = 0;
   if (::waitpid(Pid, &Status, 0) != Pid) {
@@ -558,7 +552,7 @@ int runCrashtest(const mir::Program &Prog, uint64_t Seed,
 /// cut whose surviving prefixes all replayed without divergence.
 int runDistPipeline(const mir::Program &Prog, uint32_t Nodes, uint64_t Seed,
                     const std::string &LogBase, const EpochFlags &Epochs,
-                    bool Compress, bool Verify, bool UseZ3,
+                    bool Verify, bool UseZ3,
                     unsigned SolverShards) {
   dist::DistOptions DO;
   DO.Nodes = Nodes;
@@ -566,7 +560,6 @@ int runDistPipeline(const mir::Program &Prog, uint32_t Nodes, uint64_t Seed,
   DO.LogBase = LogBase;
   DO.EpochSpans = Epochs.Spans ? Epochs.Spans : 4;
   DO.EpochMs = Epochs.Ms;
-  DO.Compress = Compress;
   dist::DistRecordResult DR = dist::runDistRecord(Prog, DO);
   if (!DR.Error.empty()) {
     std::fprintf(stderr, "error: %s\n", DR.Error.c_str());
@@ -755,7 +748,7 @@ int main(int argc, char **argv) {
        "pct-depth", "seeds", "budget", "repro-out", "progress", "ci-json",
        "ci-artifacts", "ci-deadline", "ci-retries", "ci-seed",
        "ci-explore-budget"},
-      {"z3", "no-verify", "compress", "stream", "oracle", "shrink",
+      {"z3", "no-verify", "stream", "oracle", "shrink",
        "ci-calibration"},
       /*Begin=*/2);
   for (const std::string &F : Args.unknown())
@@ -993,24 +986,17 @@ int main(int argc, char **argv) {
         return Finish(2);
       }
       return Finish(runDistPipeline(*Prog, Nodes, Seed, LogPath, Epochs,
-                                    Args.has("compress"),
                                     !Args.has("no-verify"), UseZ3,
                                     SolverShards));
     }
     LightOptions Opts;
-    Opts.WriteToDisk = false;
     if (Epochs.on()) {
       // Durable-epoch mode: the on-disk artifact is the incrementally
-      // written LIGHT002/LIGHT003 log itself (crash-recoverable at every
-      // epoch boundary), not a finish()-time LIGHT001 save.
+      // written LIGHT003 log itself (crash-recoverable at every epoch
+      // boundary), not a finish()-time save.
       Opts.EpochSpans = Epochs.Spans;
       Opts.EpochMs = Epochs.Ms;
       Opts.DurableLogPath = LogPath;
-      Opts.CompressedEpochs = Args.has("compress");
-    } else if (Args.has("compress")) {
-      std::fprintf(stderr, "error: --compress needs durable epochs "
-                           "(--epoch-spans or --epoch-ms)\n");
-      return Finish(2);
     }
     LightRecorder Rec(Opts);
     Machine M(*Prog, Rec);
@@ -1036,18 +1022,25 @@ int main(int argc, char **argv) {
                      Rec.overflowError().c_str());
         return Finish(1);
       }
-      std::printf("recorded %zu spans (durable %s, %llu segments, "
+      std::printf("recorded %zu spans (durable LIGHT003, %llu segments, "
                   "%llu long-integers on disk) -> %s\n",
                   Log.Spans.size(),
-                  Opts.CompressedEpochs ? "LIGHT003" : "LIGHT002",
                   static_cast<unsigned long long>(
                       DL ? DL->segmentsWritten() : 0),
                   static_cast<unsigned long long>(DL ? DL->wordsWritten()
                                                      : 0),
                   LogPath.c_str());
     } else {
-      uint64_t Words = Log.save(LogPath);
-      std::printf("recorded %zu spans (%llu long-integers on disk) -> %s\n",
+      uint64_t Words = Log.saveCompact(LogPath);
+      if (!Words) {
+        std::fprintf(stderr,
+                     "error: log not written to '%s' (I/O failure, or a "
+                     "record exceeded a wire width)\n",
+                     LogPath.c_str());
+        return Finish(1);
+      }
+      std::printf("recorded %zu spans (LIGHT003, %llu long-integers on disk) "
+                  "-> %s\n",
                   Log.Spans.size(), static_cast<unsigned long long>(Words),
                   LogPath.c_str());
     }
@@ -1120,8 +1113,8 @@ int main(int argc, char **argv) {
     }
     std::string DurablePath =
         Args.positionalOr(2, makeTempPath("crashtest"));
-    return Finish(runCrashtest(*Prog, Seed, DurablePath, Epochs,
-                               Args.has("compress"), UseZ3, SolverShards));
+    return Finish(runCrashtest(*Prog, Seed, DurablePath, Epochs, UseZ3,
+                               SolverShards));
   }
 
   return usage();
