@@ -34,6 +34,16 @@ using namespace light::workloads;
 
 int main(int argc, char **argv) {
   obs::ArgList Args(argc, argv, {"json"}, {"fast"});
+  for (const std::string &U : Args.unknown()) {
+    std::fprintf(stderr, "bench_fig7_ablation: unknown flag %s\n", U.c_str());
+    return 2;
+  }
+  // Figure 7 covers all 24 workloads; there is no per-workload selection.
+  if (Args.size() != 0) {
+    std::fprintf(stderr, "bench_fig7_ablation: unexpected operand %s\n",
+                 Args.positional(0).c_str());
+    return 2;
+  }
   int Repeats = Args.has("fast") ? 1 : 2;
 
   std::printf("Figure 7a/7b: overhead breakdown across V_basic, V_O1, "

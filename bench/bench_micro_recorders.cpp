@@ -63,13 +63,6 @@ static void BM_Read_LightBasic(benchmark::State &S) {
     return std::make_unique<LightRecorder>(LightOptions::basic());
   });
 }
-static void BM_Read_Light_NoTelemetry(benchmark::State &S) {
-  runReadLoop(S, [] {
-    LightOptions O = LightOptions::both();
-    O.Telemetry = false;
-    return std::make_unique<LightRecorder>(O);
-  });
-}
 static void BM_Read_Leap(benchmark::State &S) {
   runReadLoop(S, [] { return std::make_unique<LeapRecorder>(); });
 }
@@ -85,13 +78,6 @@ static void BM_Write_Light(benchmark::State &S) {
     return std::make_unique<LightRecorder>(LightOptions::both());
   });
 }
-static void BM_Write_Light_NoTelemetry(benchmark::State &S) {
-  runWriteLoop(S, [] {
-    LightOptions O = LightOptions::both();
-    O.Telemetry = false;
-    return std::make_unique<LightRecorder>(O);
-  });
-}
 static void BM_Write_Leap(benchmark::State &S) {
   runWriteLoop(S, [] { return std::make_unique<LeapRecorder>(); });
 }
@@ -101,13 +87,11 @@ static void BM_Write_Stride(benchmark::State &S) {
 
 BENCHMARK(BM_Read_Baseline);
 BENCHMARK(BM_Read_Light);
-BENCHMARK(BM_Read_Light_NoTelemetry);
 BENCHMARK(BM_Read_LightBasic);
 BENCHMARK(BM_Read_Leap);
 BENCHMARK(BM_Read_Stride);
 BENCHMARK(BM_Write_Baseline);
 BENCHMARK(BM_Write_Light);
-BENCHMARK(BM_Write_Light_NoTelemetry);
 BENCHMARK(BM_Write_Leap);
 BENCHMARK(BM_Write_Stride);
 

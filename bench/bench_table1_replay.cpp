@@ -47,9 +47,8 @@ int main(int argc, char **argv) {
       {"2", "2", "3"},       // Weblech
   };
 
-  Table T({"bug", "space (longs)", "solve (ms)", "solve sharded (ms)",
-           "replay (ms)", "paper space(K)", "paper solve(s)",
-           "paper replay(s)"});
+  Table T({"bug", "space (longs)", "solve (ms)", "replay (ms)",
+           "paper space(K)", "paper solve(s)", "paper replay(s)"});
 
   std::vector<BugBenchmark> Suite = makeBugSuite();
   obs::BenchReport Report("table1_replay");
@@ -58,22 +57,16 @@ int main(int argc, char **argv) {
     const BugBenchmark &Bench = Suite[I];
     std::optional<uint64_t> Seed = findBuggySeed(Bench.Prog, 300);
     if (!Seed) {
-      T.addRow({Bench.Name, "-", "-", "-", "-", Paper[I].Space,
+      T.addRow({Bench.Name, "-", "-", "-", Paper[I].Space,
                 Paper[I].Solve, Paper[I].Replay});
       Report.row().set("bug", Bench.Name).set("reproduced", false);
       AllReproduced = false;
       continue;
     }
     ToolAttempt A = lightReproduce(Bench, *Seed);
-    // The same log solved with `auto` shards: the monolithic-vs-sharded
-    // wall-time comparison the JSON reports per bug.
-    ToolAttempt Sharded = lightReproduce(Bench, *Seed, LightOptions(),
-                                         smt::SolverEngine::Idl,
-                                         /*SolverShards=*/0);
-    AllReproduced = AllReproduced && A.Reproduced && Sharded.Reproduced;
+    AllReproduced = AllReproduced && A.Reproduced;
     T.addRow({Bench.Name, Table::fmtInt(A.SpaceLongs),
               Table::fmt(A.SolveSeconds * 1000, 2),
-              Table::fmt(Sharded.SolveSeconds * 1000, 2),
               Table::fmt(A.ReplaySeconds * 1000, 2), Paper[I].Space,
               Paper[I].Solve, Paper[I].Replay});
     obs::BenchReport::Row &Row = Report.row();
@@ -81,10 +74,6 @@ int main(int argc, char **argv) {
         .set("reproduced", A.Reproduced)
         .set("space_longs", static_cast<double>(A.SpaceLongs))
         .set("solve_ms", A.SolveSeconds * 1000)
-        .set("solve_sharded_ms", Sharded.SolveSeconds * 1000)
-        .set("sharded_reproduced", Sharded.Reproduced)
-        .set("sharded_shards",
-             static_cast<double>(Sharded.SolverStats.Shards))
         .set("replay_ms", A.ReplaySeconds * 1000);
     // Canonical solver.* stat names shared with bench_smt_solver.
     for (const auto &[Name, Value] : smt::solveStatEntries(A.SolverStats))

@@ -58,8 +58,7 @@ std::optional<uint64_t> light::bugs::findBuggySeed(const mir::Program &Prog,
 
 ToolAttempt light::bugs::lightReproduce(const BugBenchmark &Bench,
                                         uint64_t Seed, LightOptions Opts,
-                                        smt::SolverEngine Engine,
-                                        unsigned SolverShards) {
+                                        smt::SolverEngine Engine) {
   ToolAttempt Out;
   Out.Seed = Seed;
 
@@ -92,7 +91,7 @@ ToolAttempt light::bugs::lightReproduce(const BugBenchmark &Bench,
   }
 
   Stopwatch SolveTimer;
-  ReplaySchedule RS = ReplaySchedule::build(Log, Engine, {}, SolverShards);
+  ReplaySchedule RS = ReplaySchedule::build(Log, Engine);
   Out.SolveSeconds = SolveTimer.seconds();
   Out.SolverStats = RS.solveStats();
   Out.SolverStats.Values.clear();

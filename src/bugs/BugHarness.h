@@ -55,12 +55,9 @@ std::optional<uint64_t> findBuggySeed(const mir::Program &Prog,
                                       BugReport *Out = nullptr);
 
 /// Record with Light (options + engine), solve, replay with validation.
-/// \p SolverShards is forwarded to ReplaySchedule::build (1 = monolithic,
-/// 0 = auto, N = up to N concurrent constraint shards).
 ToolAttempt lightReproduce(const BugBenchmark &Bench, uint64_t Seed,
                            LightOptions Opts = LightOptions(),
-                           smt::SolverEngine Engine = smt::SolverEngine::Idl,
-                           unsigned SolverShards = 1);
+                           smt::SolverEngine Engine = smt::SolverEngine::Idl);
 
 /// Record branch traces, run the symbolic analysis, replay if supported.
 ToolAttempt clapReproduce(const BugBenchmark &Bench, uint64_t Seed);

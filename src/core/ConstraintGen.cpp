@@ -45,11 +45,11 @@ bool sourceInside(const SpanVarRefs &Consumer, const SpanVarRefs &Own) {
          Src.Count <= Own.S->Last;
 }
 
-} // namespace
-
-void light::emitSpanPairConstraints(smt::OrderSystem &Sys,
-                                    const SpanVarRefs &A,
-                                    const SpanVarRefs &B) {
+/// Emits the R1-R6 noninterference constraints for the unordered
+/// same-location span pair (A, B). Exactly one rule applies; R1,
+/// read-only R3 and R5 emit nothing.
+void emitSpanPairConstraints(smt::OrderSystem &Sys, const SpanVarRefs &A,
+                             const SpanVarRefs &B) {
   bool SameSrc = A.S->Src.valid() == B.S->Src.valid() &&
                  (!A.S->Src.valid() || A.S->Src == B.S->Src);
 
@@ -104,7 +104,10 @@ void light::emitSpanPairConstraints(smt::OrderSystem &Sys,
   Sys.addEitherLess(A.Last, B.startVar(), B.Last, A.startVar());
 }
 
-ScheduleProblem light::buildScheduleProblem(const RecordingLog &Log) {
+} // namespace
+
+ScheduleProblem
+light::generateScheduleProblem(std::vector<SpanVarRefs> &Spans) {
   ScheduleProblem P;
 
   auto GetVar = [&](AccessId A) -> smt::Var {
@@ -116,16 +119,13 @@ ScheduleProblem light::buildScheduleProblem(const RecordingLog &Log) {
     return It->second;
   };
 
-  // 1. Order variables for every recorded access, grouped per location.
-  std::unordered_map<LocationId, std::vector<SpanVarRefs>> ByLoc;
-  for (const DepSpan &S : Log.Spans) {
-    SpanVarRefs SV;
-    SV.S = &S;
-    if (S.Src.valid())
+  // 1. Order variables for every recorded access, in span order.
+  for (SpanVarRefs &SV : Spans) {
+    const DepSpan &S = *SV.S;
+    if (S.Src.valid() && !SV.SrcFrozen)
       SV.Src = GetVar(S.Src);
     SV.First = GetVar(S.first());
     SV.Last = S.Last == S.First ? SV.First : GetVar(S.last());
-    ByLoc[S.Loc].push_back(SV);
   }
 
   // 2. Intra-thread order chains: same-thread accesses keep their counter
@@ -157,26 +157,61 @@ ScheduleProblem light::buildScheduleProblem(const RecordingLog &Log) {
   }
 
   // 3. Dependence + noninterference constraints per location, in ascending
-  //    location order for the same determinism reason as the chains above.
-  std::vector<LocationId> Locs;
-  Locs.reserve(ByLoc.size());
-  for (const auto &Entry : ByLoc)
-    Locs.push_back(Entry.first);
-  std::sort(Locs.begin(), Locs.end());
-  for (LocationId Loc : Locs) {
-    std::vector<SpanVarRefs> &Spans = ByLoc[Loc];
+  //    location order for the same determinism reason as the chains above;
+  //    within a location, spans keep their input order.
+  std::vector<SpanVarRefs> ByLoc(Spans);
+  std::stable_sort(ByLoc.begin(), ByLoc.end(),
+                   [](const SpanVarRefs &X, const SpanVarRefs &Y) {
+                     return X.S->Loc < Y.S->Loc;
+                   });
+  for (size_t Begin = 0, End; Begin < ByLoc.size(); Begin = End) {
+    for (End = Begin + 1;
+         End < ByLoc.size() && ByLoc[End].S->Loc == ByLoc[Begin].S->Loc;
+         ++End)
+      ;
     // Single-dependence constraints: O(c_w) < O(c_r).
-    for (const SpanVarRefs &SV : Spans)
-      if (SV.S->Src.valid())
-        P.System.addLess(SV.Src, SV.First);
-
-    for (size_t I = 0; I < Spans.size(); ++I)
-      for (size_t J = I + 1; J < Spans.size(); ++J)
-        emitSpanPairConstraints(P.System, Spans[I], Spans[J]);
+    for (size_t I = Begin; I < End; ++I)
+      if (ByLoc[I].S->Src.valid() && !ByLoc[I].SrcFrozen)
+        P.System.addLess(ByLoc[I].Src, ByLoc[I].First);
+    for (size_t I = Begin; I < End; ++I)
+      for (size_t J = I + 1; J < End; ++J)
+        emitSpanPairConstraints(P.System, ByLoc[I], ByLoc[J]);
   }
+  return P;
+}
 
+ScheduleProblem light::buildScheduleProblem(const RecordingLog &Log) {
+  std::vector<SpanVarRefs> Spans(Log.Spans.size());
+  for (size_t I = 0; I < Spans.size(); ++I)
+    Spans[I].S = &Log.Spans[I];
+  ScheduleProblem P = generateScheduleProblem(Spans);
   // Component metadata for sharded solving: which variables can interact.
   P.Components = smt::connectedComponents(P.System);
-
   return P;
+}
+
+std::vector<AccessId>
+ScheduleProblem::orderOf(const smt::SolveResult &R) const {
+  std::vector<uint32_t> Perm(VarAccess.size());
+  for (uint32_t I = 0; I < Perm.size(); ++I)
+    Perm[I] = I;
+  std::sort(Perm.begin(), Perm.end(), [&](uint32_t X, uint32_t Y) {
+    if (R.Values[X] != R.Values[Y])
+      return R.Values[X] < R.Values[Y];
+    return VarAccess[X].pack() < VarAccess[Y].pack();
+  });
+  std::vector<AccessId> Order;
+  Order.reserve(Perm.size());
+  for (uint32_t I : Perm)
+    Order.push_back(VarAccess[I]);
+  return Order;
+}
+
+smt::SolveResult ScheduleProblem::solve(smt::SolverEngine Engine,
+                                        smt::SolverLimits Limits,
+                                        std::vector<AccessId> &Order) const {
+  smt::SolveResult R = smt::solveOrder(System, Engine, Limits);
+  if (R.sat())
+    Order = orderOf(R);
+  return R;
 }

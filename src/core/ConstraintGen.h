@@ -25,7 +25,7 @@
 #ifndef LIGHT_CORE_CONSTRAINTGEN_H
 #define LIGHT_CORE_CONSTRAINTGEN_H
 
-#include "smt/OrderSystem.h"
+#include "smt/Z3Backend.h"
 #include "trace/RecordingLog.h"
 
 #include <unordered_map>
@@ -41,22 +41,28 @@ struct ScheduleProblem {
   /// Connected components of System: accesses in different components
   /// share no constraint (no common thread chain, no common location), so
   /// their sub-systems can be solved independently (smt::solveSharded).
+  /// Filled by buildScheduleProblem only.
   smt::ComponentInfo Components;
 
   smt::Var varOf(AccessId A) const {
     auto It = AccessVar.find(A.pack());
     return It == AccessVar.end() ? ~0u : It->second;
   }
+
+  /// The total replay order a model of System fixes: every access of
+  /// VarAccess sorted by its value in \p R, ties (unconstrained pairs)
+  /// broken by packed access id so the order is deterministic.
+  std::vector<AccessId> orderOf(const smt::SolveResult &R) const;
+
+  /// Solves System with smt::solveOrder (\p Engine, falling back to the
+  /// other engine once on timeout/error) and, when it is satisfiable,
+  /// stores orderOf(result) in \p Order.
+  smt::SolveResult solve(smt::SolverEngine Engine, smt::SolverLimits Limits,
+                         std::vector<AccessId> &Order) const;
 };
 
-/// Builds the constraint system for \p Log.
-ScheduleProblem buildScheduleProblem(const RecordingLog &Log);
-
 /// One span with its order variables — the operand of the pairwise
-/// noninterference rules R1-R6 (derivation in ConstraintGen.cpp). Shared
-/// between the monolithic builder above and the windowed incremental
-/// builder (core/WindowedSchedule.h), which must emit bit-identical
-/// in-window constraints.
+/// noninterference rules R1-R6 (derivation in ConstraintGen.cpp).
 struct SpanVarRefs {
   const DepSpan *S = nullptr;
   smt::Var Src = ~0u; ///< valid when S->Src.valid() && !SrcFrozen
@@ -65,8 +71,7 @@ struct SpanVarRefs {
 
   /// Windowed builds only: the span's source write belongs to an
   /// already-frozen window, so it has a final order value *below* every
-  /// variable of the current window and no Var in this system. The
-  /// monolithic builder always leaves this false.
+  /// variable of the current window and no Var in this system.
   bool SrcFrozen = false;
 
   bool readOnly() const { return S->Kind != SpanKind::Own; }
@@ -80,17 +85,23 @@ struct SpanVarRefs {
   }
 };
 
-/// Emits the R1-R6 noninterference constraints for the unordered
-/// same-location span pair (A, B) into \p Sys. Exactly one rule applies;
-/// R1/R3-read-only/R5 emit nothing.
+/// The Equation 1 generator. Each element of \p Spans names a span (S) and
+/// whether its source write is frozen (SrcFrozen); the generator assigns
+/// the order variables (Src, First, Last, in span order), then emits the
+/// intra-thread chains, the dependence edges and the R1-R6 pair rules per
+/// location. Components is left empty.
 ///
-/// Frozen sources (windowed builds): a disjunct of the form
-/// O(x) < O(frozen source) can never hold — frozen values lie below the
-/// whole window — so R6 drops it and emits the surviving disjunct as a
-/// hard constraint, which is strictly stronger than the monolithic clause
-/// and therefore sound.
-void emitSpanPairConstraints(smt::OrderSystem &Sys, const SpanVarRefs &A,
-                             const SpanVarRefs &B);
+/// Frozen sources (windowed builds, core/WindowedSchedule.h): a frozen
+/// source has no variable, so its dependence edge and chain hold by
+/// construction; an R6 disjunct of the form O(x) < O(frozen source) can
+/// never hold — frozen values lie below the whole window — so R6 drops it
+/// and emits the surviving disjunct as a hard constraint, which is strictly
+/// stronger than the monolithic clause and therefore sound.
+ScheduleProblem generateScheduleProblem(std::vector<SpanVarRefs> &Spans);
+
+/// Builds the constraint system for \p Log: the generator over every span
+/// with nothing frozen, plus the Components metadata.
+ScheduleProblem buildScheduleProblem(const RecordingLog &Log);
 
 } // namespace light
 

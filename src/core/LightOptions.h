@@ -65,14 +65,6 @@ struct LightOptions {
   /// No effect; kept only because lightbench/ assigns it. Delete with that.
   bool WriteToDisk = false;
 
-  /// Collect the optional hot-path telemetry (write-contention counting:
-  /// every failed attempt to take a location's last-write lock bit).
-  /// Everything else — span merges, retries, O2 elisions — rides on fields
-  /// the recorder maintains anyway; this flag only gates the tally in the
-  /// write path's contended branch. The overhead budget for the whole layer
-  /// is <= 1% on bench_micro_recorders.
-  bool Telemetry = true;
-
   /// Named presets matching the paper's ablation (Section 5.4).
   static LightOptions basic() {
     LightOptions O;

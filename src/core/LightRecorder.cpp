@@ -336,7 +336,7 @@ void LightRecorder::recordWrite(PerThread &S, ThreadId T, LocationId L,
          !M.LastWrite.compare_exchange_weak(Cur, Cur | LockBit,
                                             std::memory_order_seq_cst,
                                             std::memory_order_relaxed)) {
-    S.StripeContended += Opts.Telemetry;
+    ++S.StripeContended;
     backoff(Spins);
     Cur = M.LastWrite.load(std::memory_order_relaxed);
   }

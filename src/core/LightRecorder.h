@@ -131,8 +131,8 @@ public:
 
   /// Write-path lock-bit acquisition failures: each failed CAS on (or wait
   /// behind) another writer's lock bit in a location's last-write word
-  /// counts once. Collected only with LightOptions::Telemetry. (The name
-  /// predates the lock bit, when writes took striped mutexes.)
+  /// counts once. (The name predates the lock bit, when writes took
+  /// striped mutexes.)
   uint64_t stripeContentions() const;
 
   /// Epochs that fell due inside a program lock section and were deferred

@@ -8,7 +8,6 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "smt/ShardedSolver.h"
 
 #include <algorithm>
 #include <cassert>
@@ -17,10 +16,7 @@ using namespace light;
 
 ReplaySchedule ReplaySchedule::build(const RecordingLog &Log,
                                      smt::SolverEngine Engine,
-                                     smt::SolverLimits Limits,
-                                     unsigned SolverShards) {
-  ReplaySchedule RS;
-
+                                     smt::SolverLimits Limits) {
   ScheduleProblem P = [&] {
     obs::TraceSpan Span("schedule.constraint_gen", "solve");
     ScheduleProblem Problem = buildScheduleProblem(Log);
@@ -34,35 +30,18 @@ ReplaySchedule ReplaySchedule::build(const RecordingLog &Log,
   Reg.counter("schedule.clauses").add(P.System.clauses().size());
   Reg.gauge("schedule.components")
       .set(static_cast<int64_t>(P.Components.NumComponents));
-  RS.Stats = SolverShards == 1
-                 ? smt::solveOrder(P.System, Engine, Limits)
-                 : smt::solveSharded(P.System, Engine, Limits, SolverShards);
-  if (!RS.Stats.sat()) {
-    RS.Error = RS.Stats.failed()
-                   ? "schedule solve failed (" + RS.Stats.failReasonStr() +
-                         "): " + RS.Stats.Message
+  std::vector<AccessId> Order;
+  smt::SolveResult Stats = P.solve(Engine, Limits, Order);
+  if (!Stats.sat()) {
+    ReplaySchedule RS;
+    RS.Error = Stats.failed()
+                   ? "schedule solve failed (" + Stats.failReasonStr() +
+                         "): " + Stats.Message
                    : "replay constraint system unsatisfiable (malformed log?)";
+    RS.Stats = std::move(Stats);
     return RS;
   }
-  RS.Satisfiable = true;
-
-  // Total order: sort order variables by model value; ties are
-  // unconstrained and broken deterministically by access id.
-  std::vector<uint32_t> Perm(P.VarAccess.size());
-  for (uint32_t I = 0; I < Perm.size(); ++I)
-    Perm[I] = I;
-  std::sort(Perm.begin(), Perm.end(), [&](uint32_t X, uint32_t Y) {
-    int64_t VX = RS.Stats.Values[X], VY = RS.Stats.Values[Y];
-    if (VX != VY)
-      return VX < VY;
-    return P.VarAccess[X].pack() < P.VarAccess[Y].pack();
-  });
-  RS.Order.reserve(Perm.size());
-  for (uint32_t I : Perm)
-    RS.Order.push_back(P.VarAccess[I]);
-
-  RS.assemble(Log);
-  return RS;
+  return fromSolvedOrder(Log, std::move(Order), std::move(Stats));
 }
 
 ReplaySchedule ReplaySchedule::fromSolvedOrder(const RecordingLog &Log,

@@ -50,28 +50,24 @@ enum class AccessClass : uint8_t {
 /// A solved, executable replay schedule.
 class ReplaySchedule {
 public:
-  /// Builds the constraint system for \p Log, solves it with \p Engine
-  /// under \p Limits (falling back to the other engine once on
-  /// timeout/error, see smt::solveOrder), and assembles the schedule. Fails
-  /// (ok() == false) if the system is unsatisfiable — which Lemma 4.1 rules
-  /// out for well-formed logs — or if both solver engines gave up;
-  /// solveStats() distinguishes the two.
-  ///
-  /// \p SolverShards controls sharded solving (smt::solveSharded): 1 is
-  /// the monolithic path bit-for-bit, 0 means auto (hardware concurrency),
-  /// N > 1 solves up to N independent constraint shards concurrently. The
-  /// assembled schedule is deterministic for every setting.
+  /// Builds the constraint system for \p Log (buildScheduleProblem),
+  /// solves it with \p Engine under \p Limits (falling back to the other
+  /// engine once on timeout/error, see smt::solveOrder), and assembles the
+  /// schedule from the model's order (fromSolvedOrder). Fails (ok() ==
+  /// false) if the system is unsatisfiable — which Lemma 4.1 rules out for
+  /// well-formed logs — or if both solver engines gave up; solveStats()
+  /// distinguishes the two.
   static ReplaySchedule build(const RecordingLog &Log,
                               smt::SolverEngine Engine = smt::SolverEngine::Idl,
-                              smt::SolverLimits Limits = {},
-                              unsigned SolverShards = 1);
+                              smt::SolverLimits Limits = {});
 
-  /// Assembles a schedule from an externally solved total order — the
-  /// windowed incremental path (core/WindowedSchedule.h), which solves
-  /// epoch windows one at a time and concatenates the fragments. Skips
+  /// Assembles a schedule from a solved total order: build()'s own last
+  /// step, and the entry point of the windowed path (core/WindowedSchedule.h),
+  /// which solves epoch windows one at a time and concatenates the
+  /// fragments, and of the multi-node merge (dist/NodeSet.h). Skips
   /// constraint generation and solving; \p Order is trusted to satisfy the
-  /// monolithic system (the windowed builder's frontier checks guarantee
-  /// it). \p Stats carries the aggregated solver statistics for reporting.
+  /// monolithic system. \p Stats carries the solver statistics for
+  /// reporting.
   static ReplaySchedule fromSolvedOrder(const RecordingLog &Log,
                                         std::vector<AccessId> Order,
                                         smt::SolveResult Stats = {});
@@ -110,7 +106,7 @@ private:
   };
 
   /// Builds TurnOf and the classification side tables from \p Log; Order
-  /// must already be set. Shared by build() and fromSolvedOrder().
+  /// must already be set.
   void assemble(const RecordingLog &Log);
 
   bool Satisfiable = false;

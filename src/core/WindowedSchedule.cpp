@@ -8,7 +8,6 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "smt/ShardedSolver.h"
 
 #include <algorithm>
 
@@ -104,27 +103,15 @@ bool WindowedScheduleBuilder::solveWindow(size_t Count) {
   obs::TraceSpan Phase("schedule.window_solve", "solve");
   Phase.arg("spans", Count);
 
-  smt::OrderSystem Sys;
-  std::vector<AccessId> VarAccess;
-  std::unordered_map<uint64_t, smt::Var> AccessVar;
+  // Frontier admission checks (see the header for the soundness argument):
+  // they decide which sources are frozen, or refuse the window.
   auto HorizonOf = [&](ThreadId T) -> Counter {
     return T < FrozenHorizon.size() ? FrozenHorizon[T] : 0;
   };
-  auto GetVar = [&](AccessId A) -> smt::Var {
-    auto [It, Inserted] = AccessVar.try_emplace(A.pack(), 0);
-    if (Inserted) {
-      It->second = Sys.newVar(A.str());
-      VarAccess.push_back(A);
-    }
-    return It->second;
-  };
-
-  // Variables per span, with the frontier admission checks (see the header
-  // for the soundness argument). Identical var/constraint construction to
-  // buildScheduleProblem otherwise.
-  std::unordered_map<LocationId, std::vector<SpanVarRefs>> ByLoc;
+  std::vector<SpanVarRefs> Spans(Count);
   for (size_t I = 0; I < Count; ++I) {
     const DepSpan &S = Pending[I];
+    Spans[I].S = &S;
     if (S.First <= HorizonOf(S.Thread)) {
       failTooSmall(WindowTooSmall::Kind::StragglerSpan,
                    "span " + S.str() + " starts at or below thread " +
@@ -132,23 +119,16 @@ bool WindowedScheduleBuilder::solveWindow(size_t Count) {
                        std::to_string(HorizonOf(S.Thread)));
       return false;
     }
-    SpanVarRefs SV;
-    SV.S = &S;
-    if (S.Src.valid()) {
-      if (S.Src.Count <= HorizonOf(S.Src.Thread)) {
-        // The source was frozen; only the newest frozen write on this
-        // location is still a legal thing to read.
-        SV.SrcFrozen = true;
-        const LocFrontier &F = Frontier[S.Loc];
-        if (S.Src.pack() != F.NewestWritePacked) {
-          failTooSmall(WindowTooSmall::Kind::StaleSource,
-                       "span " + S.str() +
-                           " reads a frozen write that is no longer the "
-                           "newest on its location");
-          return false;
-        }
-      } else {
-        SV.Src = GetVar(S.Src);
+    if (S.Src.valid() && S.Src.Count <= HorizonOf(S.Src.Thread)) {
+      // The source was frozen; only the newest frozen write on this
+      // location is still a legal thing to read.
+      Spans[I].SrcFrozen = true;
+      if (S.Src.pack() != Frontier[S.Loc].NewestWritePacked) {
+        failTooSmall(WindowTooSmall::Kind::StaleSource,
+                     "span " + S.str() +
+                         " reads a frozen write that is no longer the "
+                         "newest on its location");
+        return false;
       }
     }
     if (S.Kind == SpanKind::Init && Frontier[S.Loc].HasWriteOrDep) {
@@ -157,65 +137,22 @@ bool WindowedScheduleBuilder::solveWindow(size_t Count) {
                        " on a location with a frozen write");
       return false;
     }
-    SV.First = GetVar(S.first());
-    SV.Last = S.Last == S.First ? SV.First : GetVar(S.last());
-    ByLoc[S.Loc].push_back(SV);
   }
 
-  // Intra-thread order chains over this window's variables. Chains to
-  // frozen variables hold by construction: frozen values < NextBase and
-  // the straggler check keeps window counters above frozen ones.
-  {
-    std::unordered_map<ThreadId, std::vector<AccessId>> PerThread;
-    for (const AccessId &A : VarAccess)
-      PerThread[A.Thread].push_back(A);
-    std::vector<ThreadId> Threads;
-    Threads.reserve(PerThread.size());
-    for (const auto &Entry : PerThread)
-      Threads.push_back(Entry.first);
-    std::sort(Threads.begin(), Threads.end());
-    for (ThreadId T : Threads) {
-      std::vector<AccessId> &List = PerThread[T];
-      std::sort(List.begin(), List.end(),
-                [](const AccessId &X, const AccessId &Y) {
-                  return X.Count < Y.Count;
-                });
-      for (size_t I = 1; I < List.size(); ++I)
-        Sys.addLess(AccessVar[List[I - 1].pack()],
-                    AccessVar[List[I].pack()]);
-    }
-  }
-
-  // Dependence + noninterference constraints per location, ascending.
-  std::vector<LocationId> Locs;
-  Locs.reserve(ByLoc.size());
-  for (const auto &Entry : ByLoc)
-    Locs.push_back(Entry.first);
-  std::sort(Locs.begin(), Locs.end());
-  for (LocationId Loc : Locs) {
-    std::vector<SpanVarRefs> &Spans = ByLoc[Loc];
-    for (const SpanVarRefs &SV : Spans)
-      if (SV.S->Src.valid() && !SV.SrcFrozen)
-        Sys.addLess(SV.Src, SV.First);
-    for (size_t I = 0; I < Spans.size(); ++I)
-      for (size_t J = I + 1; J < Spans.size(); ++J)
-        emitSpanPairConstraints(Sys, Spans[I], Spans[J]);
-  }
-
-  Phase.arg("vars", Sys.numVars());
-  Phase.arg("clauses", Sys.clauses().size());
-  smt::SolveResult R =
-      Opts.SolverShards == 1
-          ? smt::solveOrder(Sys, Opts.Engine, Opts.Limits)
-          : smt::solveSharded(Sys, Opts.Engine, Opts.Limits,
-                              Opts.SolverShards);
+  // Chains and dependences to frozen variables hold by construction: frozen
+  // values < NextBase and the straggler check keeps window counters above
+  // frozen ones.
+  ScheduleProblem P = generateScheduleProblem(Spans);
+  Phase.arg("vars", P.System.numVars());
+  Phase.arg("clauses", P.System.clauses().size());
+  std::vector<AccessId> Order;
+  smt::SolveResult R = P.solve(Opts.Engine, Opts.Limits, Order);
   Aggregate.Decisions += R.Decisions;
   Aggregate.Propagations += R.Propagations;
   Aggregate.Conflicts += R.Conflicts;
   Aggregate.CycleChecks += R.CycleChecks;
   Aggregate.ScanSteps += R.ScanSteps;
   Aggregate.SolveSeconds += R.SolveSeconds;
-  Aggregate.Shards = std::max(Aggregate.Shards, R.Shards);
   if (!R.sat()) {
     fail(R.failed()
              ? "window solve failed (" + R.failReasonStr() +
@@ -227,52 +164,42 @@ bool WindowedScheduleBuilder::solveWindow(size_t Count) {
   // Offset-stack the window's model strictly above every frozen value,
   // then freeze: emit the fragment and advance the frontier.
   int64_t MinV = R.Values[0], MaxV = R.Values[0];
-  for (smt::Var V = 1; V < Sys.numVars(); ++V) {
+  for (smt::Var V = 1; V < P.System.numVars(); ++V) {
     MinV = std::min(MinV, R.Values[V]);
     MaxV = std::max(MaxV, R.Values[V]);
   }
   int64_t Offset = NextBase - MinV;
   NextBase = MaxV + Offset + 1;
 
-  std::vector<uint32_t> Perm(VarAccess.size());
-  for (uint32_t I = 0; I < Perm.size(); ++I)
-    Perm[I] = I;
-  std::sort(Perm.begin(), Perm.end(), [&](uint32_t X, uint32_t Y) {
-    if (R.Values[X] != R.Values[Y])
-      return R.Values[X] < R.Values[Y];
-    return VarAccess[X].pack() < VarAccess[Y].pack();
-  });
-  for (uint32_t I : Perm) {
+  for (const AccessId &A : Order) {
     if (Spill)
-      Spill->put(VarAccess[I].pack());
+      Spill->put(A.pack());
     else
-      OrderMem.push_back(VarAccess[I]);
-    ++OrderCount;
+      OrderMem.push_back(A);
   }
+  OrderCount += Order.size();
 
-  for (const AccessId &A : VarAccess) {
+  for (const AccessId &A : P.VarAccess) {
     if (A.Thread >= FrozenHorizon.size())
       FrozenHorizon.resize(A.Thread + 1, 0);
     FrozenHorizon[A.Thread] = std::max(FrozenHorizon[A.Thread], A.Count);
   }
-  for (LocationId Loc : Locs) {
-    LocFrontier &F = Frontier[Loc];
-    for (const SpanVarRefs &SV : ByLoc[Loc]) {
-      if (SV.hasWrites() || SV.S->Src.valid())
-        F.HasWriteOrDep = true;
-      auto Consider = [&](AccessId Id, smt::Var V) {
-        int64_t Val = R.Values[V] + Offset;
-        if (!F.NewestWritePacked || Val > F.NewestWriteValue ||
-            (Val == F.NewestWriteValue && Id.pack() > F.NewestWritePacked)) {
-          F.NewestWritePacked = Id.pack();
-          F.NewestWriteValue = Val;
-        }
-      };
-      if (SV.hasWrites())
-        Consider(SV.S->last(), SV.Last);
-      if (SV.S->Src.valid() && !SV.SrcFrozen)
-        Consider(SV.S->Src, SV.Src);
-    }
+  for (const SpanVarRefs &SV : Spans) {
+    LocFrontier &F = Frontier[SV.S->Loc];
+    if (SV.hasWrites() || SV.S->Src.valid())
+      F.HasWriteOrDep = true;
+    auto Consider = [&](AccessId Id, smt::Var V) {
+      int64_t Val = R.Values[V] + Offset;
+      if (!F.NewestWritePacked || Val > F.NewestWriteValue ||
+          (Val == F.NewestWriteValue && Id.pack() > F.NewestWritePacked)) {
+        F.NewestWritePacked = Id.pack();
+        F.NewestWriteValue = Val;
+      }
+    };
+    if (SV.hasWrites())
+      Consider(SV.S->last(), SV.Last);
+    if (SV.S->Src.valid() && !SV.SrcFrozen)
+      Consider(SV.S->Src, SV.Src);
   }
 
   ++Windows;

@@ -11,8 +11,9 @@
 /// trace/SegmentReader.h yields epoch segments — and solves one *window*
 /// of spans at a time:
 ///
-///  * Each window becomes its own OrderSystem (same variables, same R1-R6
-///    rules via emitSpanPairConstraints) and is solved independently.
+///  * Each window becomes its own OrderSystem, built by the same generator
+///    as the monolithic system (generateScheduleProblem, with the sources
+///    the frontier froze marked), and is solved independently.
 ///  * Solved windows are *frozen*: their order values are final. Window
 ///    k+1's values are offset-stacked strictly above window k's, so every
 ///    cross-window constraint of the form O(frozen) < O(new) holds by
@@ -80,10 +81,6 @@ namespace light {
 struct WindowedOptions {
   smt::SolverEngine Engine = smt::SolverEngine::Idl;
   smt::SolverLimits Limits = {};
-
-  /// Sharded solving within each window; same semantics as
-  /// ReplaySchedule::build.
-  unsigned SolverShards = 1;
 
   /// Spans per window: solving starts once this many spans are pending and
   /// each window takes exactly this many (the final window takes the

@@ -7,7 +7,6 @@
 #include "dist/NodeSet.h"
 
 #include "obs/Metrics.h"
-#include "smt/ShardedSolver.h"
 
 #include <algorithm>
 #include <map>
@@ -322,7 +321,7 @@ MergeResult NodeSetLoader::load(const std::string &BasePath, uint32_t Nodes) {
 }
 
 bool NodeSetLoader::solve(MergeResult &R, smt::SolverEngine Engine,
-                          smt::SolverLimits Limits, unsigned SolverShards) {
+                          smt::SolverLimits Limits) {
   if (!R.Loaded) {
     if (R.Error.empty())
       R.Error = "nothing loaded";
@@ -363,9 +362,7 @@ bool NodeSetLoader::solve(MergeResult &R, smt::SolverEngine Engine,
     }
   }
 
-  R.Stats = SolverShards == 1
-                ? smt::solveOrder(P.System, Engine, Limits)
-                : smt::solveSharded(P.System, Engine, Limits, SolverShards);
+  R.Stats = P.solve(Engine, Limits, R.Order);
   if (!R.Stats.sat()) {
     R.Error = R.Stats.failed()
                   ? "merged solve failed (" + R.Stats.failReasonStr() +
@@ -374,20 +371,6 @@ bool NodeSetLoader::solve(MergeResult &R, smt::SolverEngine Engine,
                     "admitted inconsistent evidence";
     return false;
   }
-
-  std::vector<uint32_t> Perm(P.VarAccess.size());
-  for (uint32_t I = 0; I < Perm.size(); ++I)
-    Perm[I] = I;
-  std::sort(Perm.begin(), Perm.end(), [&](uint32_t X, uint32_t Y) {
-    int64_t VX = R.Stats.Values[X], VY = R.Stats.Values[Y];
-    if (VX != VY)
-      return VX < VY;
-    return P.VarAccess[X].pack() < P.VarAccess[Y].pack();
-  });
-  R.Order.clear();
-  R.Order.reserve(Perm.size());
-  for (uint32_t I : Perm)
-    R.Order.push_back(P.VarAccess[I]);
   obs::Registry::global().counter("dist.cross_edges").add(R.CrossEdges);
   return true;
 }

@@ -134,7 +134,7 @@ public:
   /// R.Error set) when the solve fails — which a correct cut rules out, so
   /// a failure here is reported, never papered over.
   bool solve(MergeResult &R, smt::SolverEngine Engine = smt::SolverEngine::Idl,
-             smt::SolverLimits Limits = {}, unsigned SolverShards = 1);
+             smt::SolverLimits Limits = {});
 
   /// Projects the solved global order onto node \p Node and assembles its
   /// isolated replay plan. Requires solve() to have succeeded.

@@ -135,8 +135,7 @@ OracleVerdict CrossEngineOracle::check(const mir::Program &Prog,
       Disagree("recorded", "light", "bug",
                Ref.Bug.str() + " vs " + Recorded.Result.Bug.str());
 
-    ReplaySchedule RS = ReplaySchedule::build(Log, Config.LightEngine, {},
-                                              Config.SolverShards);
+    ReplaySchedule RS = ReplaySchedule::build(Log, Config.LightEngine);
     if (!RS.ok()) {
       Disagree("light", "light", "solve", RS.error());
     } else {

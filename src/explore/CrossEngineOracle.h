@@ -81,7 +81,6 @@ struct OracleVerdict {
 /// Oracle configuration.
 struct OracleConfig {
   smt::SolverEngine LightEngine = smt::SolverEngine::Idl;
-  unsigned SolverShards = 1;
   /// Clap's offline phase symbolically re-executes through Z3; allow
   /// disabling it for high-volume property runs.
   bool RunClap = true;

@@ -86,14 +86,15 @@ DurableLogWriter::~DurableLogWriter() {
     abandon();
 }
 
-bool DurableLogWriter::writeSegment(const uint64_t *Payload, size_t N) {
+bool DurableLogWriter::writeFrame(const uint64_t *Payload, size_t N,
+                                  bool IsData) {
   if (Dead)
     return true; // the simulated-killed process "keeps writing" into the void
   if (!Ok)
     return false;
 
   uint64_t Frame[3] = {DurableSegmentMagic, N,
-                       (Segments << 32) |
+                       (Frames << 32) |
                            crc32c(Payload, N * sizeof(uint64_t))};
 
   fault::Injector &Faults = fault::Injector::global();
@@ -127,7 +128,8 @@ bool DurableLogWriter::writeSegment(const uint64_t *Payload, size_t N) {
   }
   std::fflush(File);
   Words += 3 + N;
-  ++Segments;
+  ++Frames;
+  Segments += IsData;
   return true;
 }
 
@@ -138,7 +140,7 @@ bool DurableLogWriter::closeClean() {
   }
   if (!Ok)
     return false;
-  if (!writeSegment(nullptr, 0))
+  if (!writeFrame(nullptr, 0, /*IsData=*/false))
     return false;
   std::FILE *F = File;
   File = nullptr;
@@ -246,31 +248,4 @@ DurableLogCursor::Item DurableLogCursor::next(std::vector<uint64_t> &Payload) {
   Pos += 3 + N;
   ++Segments;
   return Item::Segment;
-}
-
-SegmentScan light::scanDurableLog(const std::string &Path) {
-  SegmentScan Out;
-  DurableLogCursor Cursor(Path);
-  if (!Cursor.ok()) {
-    Out.Error = Cursor.error();
-    return Out;
-  }
-  Out.HeaderOk = true;
-  std::vector<uint64_t> Payload;
-  for (;;) {
-    switch (Cursor.next(Payload)) {
-    case DurableLogCursor::Item::Segment:
-      Out.Segments.push_back(Payload);
-      continue;
-    case DurableLogCursor::Item::CleanClose:
-      Out.Clean = true;
-      return Out;
-    case DurableLogCursor::Item::TornTail:
-      Out.SegmentsDropped = 1;
-      Out.WordsDropped = Cursor.wordsDropped();
-      return Out;
-    case DurableLogCursor::Item::End:
-      return Out;
-    }
-  }
 }

@@ -9,7 +9,7 @@
 /// length-framed, CRC32C-checksummed segments of 64-bit words. The recorder
 /// appends one segment per epoch (and flushes it to the OS immediately), so
 /// a process that is SIGKILL'd or crashes mid-run leaves a file whose valid
-/// prefix is exactly the epochs that completed — scanDurableLog() recovers
+/// prefix is exactly the epochs that completed — DurableLogCursor recovers
 /// that prefix and reports how much of the tail was torn.
 ///
 /// Layout (all 64-bit little-endian words):
@@ -82,7 +82,9 @@ public:
   /// on I/O failure (error() describes it). After a simulated hard kill
   /// (log.crash_at_epoch) the call returns true but the data is lost, just
   /// as a real SIGKILL would lose it.
-  bool writeSegment(const uint64_t *Words, size_t N);
+  bool writeSegment(const uint64_t *Words, size_t N) {
+    return writeFrame(Words, N, /*IsData=*/true);
+  }
   bool writeSegment(const std::vector<uint64_t> &Words) {
     return writeSegment(Words.data(), Words.size());
   }
@@ -94,7 +96,9 @@ public:
   /// Closes the file without the clean-close marker — the error/crash path.
   void abandon();
 
-  /// Segments durably written (excludes anything after a simulated kill).
+  /// Data segments durably written: what a reader recovers from the file,
+  /// so the clean-close marker and anything after a simulated kill are
+  /// excluded.
   uint64_t segmentsWritten() const { return Segments; }
 
   /// Total words written including framing.
@@ -109,22 +113,24 @@ private:
   bool Ok = false;
   bool Dead = false;
   std::string Err;
-  uint64_t Segments = 0;
+  uint64_t Frames = 0;   ///< frames written: the next sequence number
+  uint64_t Segments = 0; ///< data frames among them
   uint64_t Words = 0;
 
+  /// Appends one frame (a data segment, or the clean-close marker).
+  bool writeFrame(const uint64_t *Payload, size_t N, bool IsData);
   void fail(const std::string &What);
 };
 
 /// Streams the segments of a LIGHT003 (or LIGHT002) container one at a time,
-/// holding at most one segment payload in memory. This is the bounded-memory
-/// counterpart of scanDurableLog() (which is now a thin wrapper): a
-/// 10^8-access recording is gigabytes on disk, and both the offline solver
-/// and CI salvage of a torn log must walk it without materializing it.
+/// holding at most one segment payload in memory: a 10^8-access recording
+/// is gigabytes on disk, and both the offline solver and CI salvage of a
+/// torn log must walk it without materializing it.
 ///
-/// Validation is identical to the whole-file scan — framing magic, payload
-/// length against the real file size, sequence numbers, CRC32C — and stops
-/// at the first invalid segment, reporting everything from there on as the
-/// torn tail.
+/// Validation — framing magic, payload length against the real file size,
+/// sequence numbers, CRC32C — stops at the first invalid segment, reporting
+/// everything from there on as the torn tail. Corruption never fails the
+/// walk; it just shortens the recovered prefix.
 class DurableLogCursor {
 public:
   explicit DurableLogCursor(const std::string &Path);
@@ -174,30 +180,6 @@ private:
 
   Item finish(Item I);
 };
-
-/// Result of scanning a durable file: the longest valid segment prefix.
-struct SegmentScan {
-  bool HeaderOk = false; ///< file opened and carried a durable magic
-  bool Clean = false;    ///< trailing clean-close marker present, no tail
-  std::vector<std::vector<uint64_t>> Segments; ///< valid payloads, in order
-  uint64_t SegmentsDropped = 0; ///< 1 when a torn/corrupt tail was cut
-  uint64_t WordsDropped = 0;    ///< words discarded with the tail
-  std::string Error;            ///< empty unless HeaderOk is false
-
-  /// Total payload words recovered.
-  uint64_t wordsRecovered() const {
-    uint64_t N = 0;
-    for (const auto &S : Segments)
-      N += S.size();
-    return N;
-  }
-};
-
-/// Scans \p Path, validating framing, sequence numbers, and checksums.
-/// Stops at the first invalid segment: everything before it is returned as
-/// the recovered prefix, everything from it on is counted as dropped. Never
-/// fails on corrupt input — corruption just shortens the prefix.
-SegmentScan scanDurableLog(const std::string &Path);
 
 } // namespace light
 

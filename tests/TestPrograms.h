@@ -18,6 +18,7 @@
 #include "core/ReplaySchedule.h"
 #include "interp/Machine.h"
 #include "mir/Builder.h"
+#include "smt/ShardedSolver.h"
 
 #include <gtest/gtest.h>
 
@@ -374,14 +375,12 @@ inline RecordOutcome recordRunBursty(const mir::Program &Prog, uint64_t Seed,
   return recordRunWith(Prog, Seed, Sched, Opts);
 }
 
-/// Replays \p Log against \p Prog with validation on; returns the result.
-/// \p SolverShards is forwarded to ReplaySchedule::build (1 = monolithic,
-/// 0 = auto, N = sharded).
-inline RunResult replayRun(const mir::Program &Prog, const RecordingLog &Log,
-                           smt::SolverEngine Engine = smt::SolverEngine::Idl,
-                           std::string *Error = nullptr,
-                           unsigned SolverShards = 1) {
-  ReplaySchedule RS = ReplaySchedule::build(Log, Engine, {}, SolverShards);
+/// Replays \p Log against \p Prog under the solved schedule \p RS with
+/// validation on; returns the result.
+inline RunResult replayRunWith(const mir::Program &Prog,
+                               const RecordingLog &Log,
+                               const ReplaySchedule &RS,
+                               std::string *Error = nullptr) {
   if (!RS.ok()) {
     if (Error)
       *Error = RS.error();
@@ -399,17 +398,22 @@ inline RunResult replayRun(const mir::Program &Prog, const RecordingLog &Log,
   return R;
 }
 
-/// Asserts that replaying \p Log reproduces \p Recorded exactly: same
-/// completion, same bug correlation (Theorem 1), same per-thread outputs
-/// (same value at every use).
-inline void expectFaithfulReplay(const mir::Program &Prog,
-                                 const RecordOutcome &Recorded,
-                                 smt::SolverEngine Engine =
-                                     smt::SolverEngine::Idl,
-                                 unsigned SolverShards = 1) {
+/// Solves \p Log with ReplaySchedule::build and replays it against \p Prog
+/// with validation on; returns the result.
+inline RunResult replayRun(const mir::Program &Prog, const RecordingLog &Log,
+                           smt::SolverEngine Engine = smt::SolverEngine::Idl,
+                           std::string *Error = nullptr) {
+  return replayRunWith(Prog, Log, ReplaySchedule::build(Log, Engine), Error);
+}
+
+/// Asserts that replaying \p Recorded's log under \p RS reproduces the
+/// recording exactly: same completion, same bug correlation (Theorem 1),
+/// same per-thread outputs (same value at every use).
+inline void expectFaithfulReplayWith(const mir::Program &Prog,
+                                     const RecordOutcome &Recorded,
+                                     const ReplaySchedule &RS) {
   std::string Error;
-  RunResult Replayed =
-      replayRun(Prog, Recorded.Log, Engine, &Error, SolverShards);
+  RunResult Replayed = replayRunWith(Prog, Recorded.Log, RS, &Error);
   ASSERT_NE(Replayed.Bug.What, BugReport::Kind::ReplayDivergence)
       << "replay diverged: " << Replayed.Bug.Detail << " " << Error;
   EXPECT_EQ(Recorded.Result.Completed, Replayed.Completed);
@@ -421,6 +425,30 @@ inline void expectFaithfulReplay(const mir::Program &Prog,
   for (size_t I = 0; I < Replayed.OutputByThread.size(); ++I)
     EXPECT_EQ(Recorded.Result.OutputByThread[I], Replayed.OutputByThread[I])
         << "thread " << I << " observed different values in replay";
+}
+
+/// The schedule the reproduce-dense benchmark measures:
+/// buildScheduleProblem -> smt::solveSharded over up to \p Shards shards
+/// (0 = auto) -> ScheduleProblem::orderOf -> ReplaySchedule::fromSolvedOrder.
+/// A failed solve yields a schedule whose ok() is false.
+inline ReplaySchedule shardedSchedule(const RecordingLog &Log,
+                                      unsigned Shards) {
+  ScheduleProblem P = buildScheduleProblem(Log);
+  smt::SolveResult R =
+      smt::solveSharded(P.System, smt::SolverEngine::Idl, {}, Shards);
+  if (!R.sat())
+    return ReplaySchedule();
+  std::vector<AccessId> Order = P.orderOf(R);
+  return ReplaySchedule::fromSolvedOrder(Log, std::move(Order), std::move(R));
+}
+
+/// expectFaithfulReplayWith over the schedule ReplaySchedule::build solves.
+inline void expectFaithfulReplay(const mir::Program &Prog,
+                                 const RecordOutcome &Recorded,
+                                 smt::SolverEngine Engine =
+                                     smt::SolverEngine::Idl) {
+  expectFaithfulReplayWith(Prog, Recorded,
+                           ReplaySchedule::build(Recorded.Log, Engine));
 }
 
 } // namespace testprogs

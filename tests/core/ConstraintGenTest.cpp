@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "../TestPrograms.h"
 #include "core/ConstraintGen.h"
 #include "core/ReplaySchedule.h"
 #include "smt/IdlSolver.h"
@@ -237,10 +238,72 @@ TEST(ConstraintGen, RepeatedSolvedSchedulesAreIdentical) {
   for (size_t I = 0; I < S1.order().size(); ++I)
     EXPECT_EQ(S1.order()[I].pack(), S2.order()[I].pack()) << "turn " << I;
 
+  // Sharded schedules are built the way reproduce-dense builds them.
   for (unsigned Shards : {2u, 4u, 0u}) {
-    ReplaySchedule SS =
-        ReplaySchedule::build(Log, smt::SolverEngine::Idl, {}, Shards);
-    ASSERT_TRUE(SS.ok()) << SS.error();
+    ReplaySchedule SS = testprogs::shardedSchedule(Log, Shards);
+    ReplaySchedule SS2 = testprogs::shardedSchedule(Log, Shards);
+    ASSERT_TRUE(SS.ok()) << "shards " << Shards;
+    ASSERT_TRUE(SS2.ok()) << "shards " << Shards;
     ASSERT_EQ(SS.order().size(), S1.order().size()) << "shards " << Shards;
+    ASSERT_EQ(SS2.order().size(), SS.order().size()) << "shards " << Shards;
+    for (size_t I = 0; I < SS.order().size(); ++I)
+      EXPECT_EQ(SS.order()[I].pack(), SS2.order()[I].pack())
+          << "shards " << Shards << " turn " << I;
   }
+}
+
+TEST(ConstraintGen, UnfrozenWindowEqualsMonolithicBuild) {
+  // The windowed builder and buildScheduleProblem share one generator: over
+  // the same span list with no frozen source, a window's system is the
+  // monolithic system, variable for variable and clause for clause.
+  for (const RecordingLog &Log :
+       {manyLocationLog(),
+        testprogs::recordRun(testprogs::counterRace(3, 6), 17).Log}) {
+    std::vector<SpanVarRefs> Window(Log.Spans.size());
+    for (size_t I = 0; I < Window.size(); ++I)
+      Window[I].S = &Log.Spans[I];
+    ScheduleProblem W = generateScheduleProblem(Window);
+    ScheduleProblem M = buildScheduleProblem(Log);
+    EXPECT_TRUE(W.System == M.System);
+    ASSERT_EQ(W.VarAccess.size(), M.VarAccess.size());
+    for (size_t I = 0; I < W.VarAccess.size(); ++I)
+      EXPECT_EQ(W.VarAccess[I].pack(), M.VarAccess[I].pack());
+    // The generator hands back each span's own endpoint variables.
+    for (size_t I = 0; I < Window.size(); ++I) {
+      EXPECT_EQ(Window[I].First, M.varOf(Log.Spans[I].first()));
+      EXPECT_EQ(Window[I].Last, M.varOf(Log.Spans[I].last()));
+    }
+  }
+}
+
+TEST(ConstraintGen, FrozenSourceGetsNoVariableAndHardensR6) {
+  // t2 reads the frozen write (t1,5) on x over [1, 2]; t3 owns x over
+  // [1, 2]. The pair falls to R6, whose disjunct "t2's interval after t3"
+  // would need t3 before the frozen source: only "t2 before t3" survives.
+  RecordingLog Log;
+  Log.Spans.push_back(readSpan(loc::var(1), AccessId(1, 5), 2, 1, 2));
+  Log.Spans.push_back(ownSpan(loc::var(1), 3, 1, 2));
+  std::vector<SpanVarRefs> Window(2);
+  Window[0].S = &Log.Spans[0];
+  Window[0].SrcFrozen = true;
+  Window[1].S = &Log.Spans[1];
+  ScheduleProblem P = generateScheduleProblem(Window);
+  EXPECT_EQ(P.varOf(AccessId(1, 5)), ~0u);
+  EXPECT_EQ(P.System.numVars(), 4u);
+  smt::Var R1 = P.varOf(AccessId(2, 1)), R2 = P.varOf(AccessId(2, 2));
+  smt::Var O1 = P.varOf(AccessId(3, 1)), O2 = P.varOf(AccessId(3, 2));
+  std::vector<int64_t> ReaderFirst(4), OwnerFirst(4);
+  ReaderFirst[R1] = 0, ReaderFirst[R2] = 1;
+  ReaderFirst[O1] = 2, ReaderFirst[O2] = 3;
+  OwnerFirst[O1] = 0, OwnerFirst[O2] = 1;
+  OwnerFirst[R1] = 2, OwnerFirst[R2] = 3;
+  EXPECT_TRUE(P.System.satisfiedBy(ReaderFirst));
+  EXPECT_FALSE(P.System.satisfiedBy(OwnerFirst));
+  // Unfrozen, the same pair is a genuine disjunction: both orders satisfy.
+  std::vector<SpanVarRefs> Open(2);
+  Open[0].S = &Log.Spans[0];
+  Open[1].S = &Log.Spans[1];
+  ScheduleProblem Q = generateScheduleProblem(Open);
+  EXPECT_NE(Q.varOf(AccessId(1, 5)), ~0u);
+  EXPECT_EQ(Q.System.numVars(), 5u);
 }

@@ -12,7 +12,9 @@
 ///   2. every sharded model satisfies the full constraint system,
 ///   3. every sharded schedule passes the ReplayDirector's validated
 ///      replay — same bug correlation, same values at every use — exactly
-///      like the monolithic schedule does.
+///      like the monolithic schedule does. Sharded schedules are built the
+///      way the reproduce-dense benchmark builds them (shardedSchedule in
+///      TestPrograms.h).
 ///
 /// Programs come from the shared generator (testlib/ProgramGen.h) in its
 /// sharedOnly configuration — globals-only cross-thread traffic so the
@@ -25,7 +27,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "../TestPrograms.h"
-#include "smt/ShardedSolver.h"
 #include "support/Random.h"
 #include "testlib/ProgramGen.h"
 #include "testlib/TestEnv.h"
@@ -75,8 +76,10 @@ TEST_P(ShardedDifferential, ShardedSchedulesReplayFaithfully) {
 
   // The sharded schedule must pass the director's validated replay —
   // same values at every use — for every shard width.
-  for (unsigned Shards : {1u, 2u, 4u, 0u})
-    expectFaithfulReplay(Prog, Rec, smt::SolverEngine::Idl, Shards);
+  for (unsigned Shards : {1u, 2u, 4u, 0u}) {
+    SCOPED_TRACE("shards " + std::to_string(Shards));
+    expectFaithfulReplayWith(Prog, Rec, shardedSchedule(Rec.Log, Shards));
+  }
 }
 
 TEST_P(ShardedDifferential, SyncPrimitiveLogsShardFaithfully) {
@@ -102,8 +105,10 @@ TEST_P(ShardedDifferential, SyncPrimitiveLogsShardFaithfully) {
       EXPECT_TRUE(P.System.satisfiedBy(Sharded.Values))
           << "shards " << Shards;
   }
-  for (unsigned Shards : {1u, 2u, 0u})
-    expectFaithfulReplay(Prog, Rec, smt::SolverEngine::Idl, Shards);
+  for (unsigned Shards : {1u, 2u, 0u}) {
+    SCOPED_TRACE("shards " + std::to_string(Shards));
+    expectFaithfulReplayWith(Prog, Rec, shardedSchedule(Rec.Log, Shards));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedDifferential,

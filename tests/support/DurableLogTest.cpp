@@ -45,6 +45,23 @@ std::vector<unsigned char> slurp(const std::string &Path) {
   return Bytes;
 }
 
+using Item = DurableLogCursor::Item;
+
+/// What a cursor walk over a whole file found: the valid payloads in order
+/// and the item that ended the walk.
+struct Walk {
+  std::vector<std::vector<uint64_t>> Segments;
+  Item End = Item::End;
+};
+
+Walk walk(DurableLogCursor &Cursor) {
+  Walk W;
+  std::vector<uint64_t> Payload;
+  while ((W.End = Cursor.next(Payload)) == Item::Segment)
+    W.Segments.push_back(Payload);
+  return W;
+}
+
 void spit(const std::string &Path, const std::vector<unsigned char> &Bytes) {
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   ASSERT_NE(F, nullptr);
@@ -62,15 +79,16 @@ TEST(DurableLog, CleanRoundTrip) {
     ASSERT_TRUE(W.writeSegment(payload(3, 17)));
     ASSERT_TRUE(W.closeClean());
   }
-  SegmentScan Scan = scanDurableLog(Path);
-  EXPECT_TRUE(Scan.HeaderOk);
-  EXPECT_TRUE(Scan.Clean);
+  DurableLogCursor Cursor(Path);
+  EXPECT_TRUE(Cursor.ok());
+  Walk Scan = walk(Cursor);
+  EXPECT_EQ(Scan.End, Item::CleanClose);
   ASSERT_EQ(Scan.Segments.size(), 3u);
   EXPECT_EQ(Scan.Segments[0], payload(1, 5));
   EXPECT_EQ(Scan.Segments[1], payload(2, 1));
   EXPECT_EQ(Scan.Segments[2], payload(3, 17));
-  EXPECT_EQ(Scan.SegmentsDropped, 0u);
-  EXPECT_EQ(Scan.WordsDropped, 0u);
+  EXPECT_NE(Scan.End, Item::TornTail);
+  EXPECT_EQ(Cursor.wordsDropped(), 0u);
   std::remove(Path.c_str());
 }
 
@@ -82,12 +100,13 @@ TEST(DurableLog, AbandonedLogIsNotClean) {
     ASSERT_TRUE(W.writeSegment(payload(2, 4)));
     W.abandon(); // crash path: no clean-close marker
   }
-  SegmentScan Scan = scanDurableLog(Path);
-  EXPECT_TRUE(Scan.HeaderOk);
-  EXPECT_FALSE(Scan.Clean);
+  DurableLogCursor Cursor(Path);
+  EXPECT_TRUE(Cursor.ok());
+  Walk Scan = walk(Cursor);
+  EXPECT_NE(Scan.End, Item::CleanClose);
   // Both segments were durably flushed and survive intact.
   ASSERT_EQ(Scan.Segments.size(), 2u);
-  EXPECT_EQ(Scan.SegmentsDropped, 0u);
+  EXPECT_NE(Scan.End, Item::TornTail);
   std::remove(Path.c_str());
 }
 
@@ -105,13 +124,14 @@ TEST(DurableLog, TruncatedTailIsCut) {
   Bytes.resize(Bytes.size() - 30);
   spit(Path, Bytes);
 
-  SegmentScan Scan = scanDurableLog(Path);
-  EXPECT_TRUE(Scan.HeaderOk);
-  EXPECT_FALSE(Scan.Clean);
+  DurableLogCursor Cursor(Path);
+  EXPECT_TRUE(Cursor.ok());
+  Walk Scan = walk(Cursor);
+  EXPECT_NE(Scan.End, Item::CleanClose);
   ASSERT_EQ(Scan.Segments.size(), 1u);
   EXPECT_EQ(Scan.Segments[0], payload(1, 8));
-  EXPECT_EQ(Scan.SegmentsDropped, 1u);
-  EXPECT_GT(Scan.WordsDropped, 0u);
+  EXPECT_EQ(Scan.End, Item::TornTail);
+  EXPECT_GT(Cursor.wordsDropped(), 0u);
   std::remove(Path.c_str());
 }
 
@@ -131,12 +151,13 @@ TEST(DurableLog, ChecksumRejectsBitFlip) {
   Bytes[SecondPayload] ^= 0x10;
   spit(Path, Bytes);
 
-  SegmentScan Scan = scanDurableLog(Path);
-  EXPECT_TRUE(Scan.HeaderOk);
-  EXPECT_FALSE(Scan.Clean);
+  DurableLogCursor Cursor(Path);
+  EXPECT_TRUE(Cursor.ok());
+  Walk Scan = walk(Cursor);
+  EXPECT_NE(Scan.End, Item::CleanClose);
   ASSERT_EQ(Scan.Segments.size(), 1u);
   EXPECT_EQ(Scan.Segments[0], payload(1, 8));
-  EXPECT_EQ(Scan.SegmentsDropped, 1u);
+  EXPECT_EQ(Scan.End, Item::TornTail);
   std::remove(Path.c_str());
 }
 
@@ -150,16 +171,16 @@ TEST(DurableLog, CorruptHeaderFailsTheScan) {
   std::vector<unsigned char> Bytes = slurp(Path);
   Bytes[0] ^= 0xff;
   spit(Path, Bytes);
-  SegmentScan Scan = scanDurableLog(Path);
-  EXPECT_FALSE(Scan.HeaderOk);
-  EXPECT_FALSE(Scan.Error.empty());
+  DurableLogCursor Cursor(Path);
+  EXPECT_FALSE(Cursor.ok());
+  EXPECT_FALSE(Cursor.error().empty());
   std::remove(Path.c_str());
 }
 
 TEST(DurableLog, MissingFileFailsTheScan) {
-  SegmentScan Scan = scanDurableLog("/nonexistent/missing.dlog");
-  EXPECT_FALSE(Scan.HeaderOk);
-  EXPECT_FALSE(Scan.Error.empty());
+  DurableLogCursor Cursor("/nonexistent/missing.dlog");
+  EXPECT_FALSE(Cursor.ok());
+  EXPECT_FALSE(Cursor.error().empty());
 }
 
 TEST(DurableLog, EmptyCleanLog) {
@@ -168,9 +189,10 @@ TEST(DurableLog, EmptyCleanLog) {
     DurableLogWriter W(Path);
     ASSERT_TRUE(W.closeClean());
   }
-  SegmentScan Scan = scanDurableLog(Path);
-  EXPECT_TRUE(Scan.HeaderOk);
-  EXPECT_TRUE(Scan.Clean);
+  DurableLogCursor Cursor(Path);
+  EXPECT_TRUE(Cursor.ok());
+  Walk Scan = walk(Cursor);
+  EXPECT_EQ(Scan.End, Item::CleanClose);
   EXPECT_EQ(Scan.Segments.size(), 0u);
   std::remove(Path.c_str());
 }
@@ -193,12 +215,31 @@ TEST(DurableLog, InjectedEpochCrashLosesTheTailSilently) {
   }
   In.reset();
 
-  SegmentScan Scan = scanDurableLog(Path);
-  EXPECT_TRUE(Scan.HeaderOk);
-  EXPECT_FALSE(Scan.Clean); // the clean-close marker was lost with the tail
+  DurableLogCursor Cursor(Path);
+  EXPECT_TRUE(Cursor.ok());
+  Walk Scan = walk(Cursor);
+  // The clean-close marker was lost with the tail.
+  EXPECT_NE(Scan.End, Item::CleanClose);
   ASSERT_EQ(Scan.Segments.size(), 1u);
   EXPECT_EQ(Scan.Segments[0], payload(1, 6));
-  EXPECT_EQ(Scan.SegmentsDropped, 1u);
+  EXPECT_EQ(Scan.End, Item::TornTail);
+  std::remove(Path.c_str());
+}
+
+TEST(DurableLog, WriterCountsTheSegmentsAReaderRecovers) {
+  // The clean-close marker is a frame, not a data segment: the writer's
+  // count must equal what the cursor (and with it `light-replay show`)
+  // recovers from the file.
+  std::string Path = makeTempPath("dlog-count");
+  DurableLogWriter W(Path);
+  ASSERT_TRUE(W.writeSegment(payload(1, 3)));
+  ASSERT_TRUE(W.writeSegment(payload(2, 3)));
+  ASSERT_TRUE(W.closeClean());
+  DurableLogCursor Cursor(Path);
+  Walk Scan = walk(Cursor);
+  EXPECT_EQ(Scan.End, Item::CleanClose);
+  EXPECT_EQ(Cursor.segmentsRead(), 2u);
+  EXPECT_EQ(W.segmentsWritten(), Cursor.segmentsRead());
   std::remove(Path.c_str());
 }
 
@@ -236,9 +277,10 @@ TEST(DurableLog, ParentDirSyncHappyPathStillRoundTrips) {
     ASSERT_TRUE(W.writeSegment(payload(4, 3)));
     ASSERT_TRUE(W.closeClean());
   }
-  SegmentScan Scan = scanDurableLog(Path);
-  EXPECT_TRUE(Scan.HeaderOk);
-  EXPECT_TRUE(Scan.Clean);
+  DurableLogCursor Cursor(Path);
+  EXPECT_TRUE(Cursor.ok());
+  Walk Scan = walk(Cursor);
+  EXPECT_EQ(Scan.End, Item::CleanClose);
   ASSERT_EQ(Scan.Segments.size(), 1u);
   std::remove(Path.c_str());
 }

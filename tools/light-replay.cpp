@@ -29,10 +29,6 @@
 ///                          replay)
 ///   --no-verify            record only; skip the solve + validated replay
 ///                          pass that `record` runs by default
-///   --solver-shards <N|auto>
-///                          solve independent constraint shards on up to N
-///                          threads (default auto = hardware concurrency;
-///                          1 = the monolithic path bit-for-bit)
 ///   --epoch-spans <N>      durable-log mode: close an epoch after N
 ///                          pending spans per thread (record, crashtest)
 ///   --epoch-ms <N>         durable-log mode: close an epoch after N
@@ -157,9 +153,6 @@ int usage() {
       "flags (any position, any subcommand):\n"
       "  --z3                   use the Z3 solver backend\n"
       "  --no-verify            skip record's solve+replay verification\n"
-      "  --solver-shards <N|auto>\n"
-      "                         solve independent constraint shards on up\n"
-      "                         to N threads (default auto; 1 = monolithic)\n"
       "  --epoch-spans <N>      durable epoch log: flush every N spans\n"
       "  --epoch-ms <N>         durable epoch log: flush every N ms\n"
       "  --stream               replay: stream the log segment by segment\n"
@@ -281,20 +274,16 @@ int replayWithPlan(const mir::Program &Prog, const RecordingLog &Log,
                    bool Validate = true);
 
 int solveAndReplay(const mir::Program &Prog, const RecordingLog &Log,
-                   bool UseZ3, unsigned SolverShards,
-                   const BugReport *ExpectBug = nullptr,
+                   bool UseZ3, const BugReport *ExpectBug = nullptr,
                    bool Validate = true) {
   ReplaySchedule Plan = ReplaySchedule::build(
-      Log, UseZ3 ? smt::SolverEngine::Z3 : smt::SolverEngine::Idl, {},
-      SolverShards);
+      Log, UseZ3 ? smt::SolverEngine::Z3 : smt::SolverEngine::Idl);
   if (!Plan.ok()) {
     std::fprintf(stderr, "error: %s\n", Plan.error().c_str());
     return 1;
   }
-  std::printf("solved %zu-turn schedule in %.2f ms (%u shard%s)\n",
-              Plan.order().size(),
-              Plan.solveStats().SolveSeconds * 1000, Plan.solveStats().Shards,
-              Plan.solveStats().Shards == 1 ? "" : "s");
+  std::printf("solved %zu-turn schedule in %.2f ms\n", Plan.order().size(),
+              Plan.solveStats().SolveSeconds * 1000);
   return replayWithPlan(Prog, Log, Plan, ExpectBug, Validate);
 }
 
@@ -352,8 +341,7 @@ int replayWithPlan(const mir::Program &Prog, const RecordingLog &Log,
 /// user must see, not an infinite loop. Each retry counts into the
 /// stream.window_retries metric.
 int streamedSolveAndReplay(const mir::Program &Prog, const std::string &Path,
-                           bool UseZ3, unsigned SolverShards,
-                           size_t WindowSpans) {
+                           bool UseZ3, size_t WindowSpans) {
   constexpr unsigned MaxWindowRetries = 5;
   for (unsigned Attempt = 0;; ++Attempt) {
     TraceSegmentReader Reader(Path);
@@ -364,7 +352,6 @@ int streamedSolveAndReplay(const mir::Program &Prog, const std::string &Path,
     }
     WindowedOptions WO;
     WO.Engine = UseZ3 ? smt::SolverEngine::Z3 : smt::SolverEngine::Idl;
-    WO.SolverShards = SolverShards;
     WO.WindowSpans = WindowSpans;
     WindowedScheduleBuilder Builder(WO);
 
@@ -466,7 +453,7 @@ struct EpochFlags {
 /// its durable log, and verify the replay. Returns the process exit code.
 int runCrashtest(const mir::Program &Prog, uint64_t Seed,
                  const std::string &DurablePath, const EpochFlags &Epochs,
-                 bool UseZ3, unsigned SolverShards) {
+                 bool UseZ3) {
   // The reference outcome: the same seed under a plain run (recording does
   // not perturb the cooperative schedule, so this is the bug the salvaged
   // log must reproduce).
@@ -530,7 +517,7 @@ int runCrashtest(const mir::Program &Prog, uint64_t Seed,
   // Without it, crashFlush persisted everything up to the bug, so the
   // bug itself must reproduce under full validation.
   bool TailLost = fault::Injector::global().armed("log.crash_at_epoch");
-  int Rc = solveAndReplay(Prog, Log, UseZ3, SolverShards,
+  int Rc = solveAndReplay(Prog, Log, UseZ3,
                           TailLost ? nullptr : &Expected.Bug,
                           /*Validate=*/!TailLost);
   if (Rc == 0)
@@ -552,8 +539,7 @@ int runCrashtest(const mir::Program &Prog, uint64_t Seed,
 /// cut whose surviving prefixes all replayed without divergence.
 int runDistPipeline(const mir::Program &Prog, uint32_t Nodes, uint64_t Seed,
                     const std::string &LogBase, const EpochFlags &Epochs,
-                    bool Verify, bool UseZ3,
-                    unsigned SolverShards) {
+                    bool Verify, bool UseZ3) {
   dist::DistOptions DO;
   DO.Nodes = Nodes;
   DO.Seed = Seed;
@@ -585,8 +571,7 @@ int runDistPipeline(const mir::Program &Prog, uint32_t Nodes, uint64_t Seed,
     return 0;
 
   if (!Loader.solve(MR,
-                    UseZ3 ? smt::SolverEngine::Z3 : smt::SolverEngine::Idl,
-                    {}, SolverShards)) {
+                    UseZ3 ? smt::SolverEngine::Z3 : smt::SolverEngine::Idl)) {
     std::fprintf(stderr, "error: global solve: %s\n", MR.Error.c_str());
     return 1;
   }
@@ -649,8 +634,7 @@ int runDistPipeline(const mir::Program &Prog, uint32_t Nodes, uint64_t Seed,
 /// cross-check and ddmin shrinking of the failure found.
 int runExplore(const mir::Program &Prog, const std::string &Strategy,
                const explore::ExploreOptions &Opts, bool RunOracle,
-               bool Shrink, const std::string &ReproPath, bool UseZ3,
-               unsigned SolverShards) {
+               bool Shrink, const std::string &ReproPath, bool UseZ3) {
   using namespace light::explore;
 
   if (Strategy != "pct" && Strategy != "dfs") {
@@ -683,7 +667,6 @@ int runExplore(const mir::Program &Prog, const std::string &Strategy,
     OracleConfig Config;
     Config.LightEngine =
         UseZ3 ? smt::SolverEngine::Z3 : smt::SolverEngine::Idl;
-    Config.SolverShards = SolverShards;
     Config.EnvSeed = Opts.EnvSeed;
     CrossEngineOracle Oracle(Config);
     OracleVerdict V = Oracle.check(Prog, Schedule);
@@ -743,9 +726,7 @@ int main(int argc, char **argv) {
   obs::ArgList Args(
       argc, argv,
       {"metrics-json", "trace-out", "epoch-spans", "epoch-ms", "fault",
-       "solver-shards", "window-spans", "nodes", "explore",
-       "preemption-bound",
-       "pct-depth", "seeds", "budget", "repro-out", "progress", "ci-json",
+       "window-spans", "nodes", "explore", "preemption-bound", "pct-depth", "seeds", "budget", "repro-out", "progress", "ci-json",
        "ci-artifacts", "ci-deadline", "ci-retries", "ci-seed",
        "ci-explore-budget"},
       {"z3", "no-verify", "stream", "oracle", "shrink",
@@ -761,19 +742,6 @@ int main(int argc, char **argv) {
   std::string MetricsPath = Args.get("metrics-json", "", "metrics.json");
   std::string TracePath = Args.get("trace-out", "", "trace.json");
   bool UseZ3 = Args.has("z3");
-  // "auto" maps to 0, which ReplaySchedule::build resolves to hardware
-  // concurrency; an explicit 1 keeps the monolithic solve path.
-  std::string ShardSpec = Args.get("solver-shards", "auto", "auto");
-  unsigned SolverShards =
-      ShardSpec == "auto"
-          ? 0
-          : static_cast<unsigned>(std::strtoul(ShardSpec.c_str(), nullptr, 10));
-  if (ShardSpec != "auto" && SolverShards == 0) {
-    std::fprintf(stderr, "error: --solver-shards wants a count or 'auto', "
-                         "got '%s'\n",
-                 ShardSpec.c_str());
-    return 2;
-  }
   EpochFlags Epochs;
   Epochs.Spans = std::strtoull(Args.get("epoch-spans", "0").c_str(),
                                nullptr, 10);
@@ -986,8 +954,7 @@ int main(int argc, char **argv) {
         return Finish(2);
       }
       return Finish(runDistPipeline(*Prog, Nodes, Seed, LogPath, Epochs,
-                                    !Args.has("no-verify"), UseZ3,
-                                    SolverShards));
+                                    !Args.has("no-verify"), UseZ3));
     }
     LightOptions Opts;
     if (Epochs.on()) {
@@ -1049,7 +1016,7 @@ int main(int argc, char **argv) {
     // Default verification pass: solve the schedule and re-execute it under
     // validation, so the one command exercises record + solve + replay (and
     // the telemetry outputs cover all three layers).
-    return Finish(solveAndReplay(*Prog, Log, UseZ3, SolverShards));
+    return Finish(solveAndReplay(*Prog, Log, UseZ3));
   }
 
   if (Cmd == "replay") {
@@ -1064,7 +1031,7 @@ int main(int argc, char **argv) {
         return Finish(2);
       }
       return Finish(streamedSolveAndReplay(*Prog, Args.positional(1), UseZ3,
-                                           SolverShards, WindowSpans));
+                                           WindowSpans));
     }
     RecordingLog Log;
     LogLoadReport Report;
@@ -1074,7 +1041,7 @@ int main(int argc, char **argv) {
       return Finish(1);
     }
     printLoadReport(Report);
-    return Finish(solveAndReplay(*Prog, Log, UseZ3, SolverShards));
+    return Finish(solveAndReplay(*Prog, Log, UseZ3));
   }
 
   if (Cmd == "explore") {
@@ -1091,7 +1058,7 @@ int main(int argc, char **argv) {
         *Prog, Args.get("explore", "pct", "pct"), Opts, Args.has("oracle"),
         Args.has("shrink"),
         Args.get("repro-out", Target + ".repro.mir", Target + ".repro.mir"),
-        UseZ3, SolverShards));
+        UseZ3));
   }
 
   if (Cmd == "crashtest") {
@@ -1113,8 +1080,7 @@ int main(int argc, char **argv) {
     }
     std::string DurablePath =
         Args.positionalOr(2, makeTempPath("crashtest"));
-    return Finish(runCrashtest(*Prog, Seed, DurablePath, Epochs, UseZ3,
-                               SolverShards));
+    return Finish(runCrashtest(*Prog, Seed, DurablePath, Epochs, UseZ3));
   }
 
   return usage();
