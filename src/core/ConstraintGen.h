@@ -17,7 +17,12 @@
 ///    same location must not overlap unless they read the same source
 ///    write. The rules are derived in trace/DepSpan.h and below.
 ///
-/// The resulting system is pure Integer Difference Logic and is handed to
+/// Before anything is emitted, the generator decides Equation 1 against
+/// the hard edges (chains, dependences, every unit rule): pairs that the
+/// hard order already separates are never emitted, and a disjunction with
+/// one impossible side becomes the other side as a unit, to a fixpoint.
+/// The emitted system has exactly the models of the full one (DESIGN.md
+/// §7). The result is pure Integer Difference Logic and is handed to
 /// smt::IdlSolver or the Z3 backend.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,9 +33,21 @@
 #include "smt/Z3Backend.h"
 #include "trace/RecordingLog.h"
 
+#include <string>
 #include <unordered_map>
 
 namespace light {
+
+/// What the generator settled before search. Pairs counts every unordered
+/// pair of spans on one location — the pairs Equation 1 ranges over;
+/// Decided counts those that reach the solver without a disjunction
+/// (ordered by the hard edges, constrained by a unit rule, or needing
+/// nothing). Rounds counts the saturation passes over the hard edges.
+struct PairStats {
+  uint64_t Pairs = 0;
+  uint64_t Decided = 0;
+  uint32_t Rounds = 0;
+};
 
 /// A constraint system plus the access <-> variable correspondence.
 struct ScheduleProblem {
@@ -44,6 +61,13 @@ struct ScheduleProblem {
   /// Filled by buildScheduleProblem only.
   smt::ComponentInfo Components;
 
+  PairStats Pairs;
+
+  /// Set when the hard edges alone close a cycle: the system is
+  /// unsatisfiable, and this names every access on the cycle and why each
+  /// step holds, in the recorded log's terms.
+  std::string HardCycle;
+
   smt::Var varOf(AccessId A) const {
     auto It = AccessVar.find(A.pack());
     return It == AccessVar.end() ? ~0u : It->second;
@@ -56,7 +80,8 @@ struct ScheduleProblem {
 
   /// Solves System with smt::solveOrder (\p Engine, falling back to the
   /// other engine once on timeout/error) and, when it is satisfiable,
-  /// stores orderOf(result) in \p Order.
+  /// stores orderOf(result) in \p Order. With a HardCycle the verdict is
+  /// Unsat at once, carrying HardCycle as its Message.
   smt::SolveResult solve(smt::SolverEngine Engine, smt::SolverLimits Limits,
                          std::vector<AccessId> &Order) const;
 };
@@ -89,7 +114,8 @@ struct SpanVarRefs {
 /// whether its source write is frozen (SrcFrozen); the generator assigns
 /// the order variables (Src, First, Last, in span order), then emits the
 /// intra-thread chains, the dependence edges and the R1-R6 pair rules per
-/// location. Components is left empty.
+/// location, minus every pair the hard edges decide (see the file
+/// comment). Components is left empty.
 ///
 /// Frozen sources (windowed builds, core/WindowedSchedule.h): a frozen
 /// source has no variable, so its dependence edge and chain hold by
@@ -99,8 +125,12 @@ struct SpanVarRefs {
 /// stronger than the monolithic clause and therefore sound.
 ScheduleProblem generateScheduleProblem(std::vector<SpanVarRefs> &Spans);
 
-/// Builds the constraint system for \p Log: the generator over every span
-/// with nothing frozen, plus the Components metadata.
+/// Every span of \p Log, nothing frozen: the generator's input for a
+/// whole log.
+std::vector<SpanVarRefs> spanRefsOf(const RecordingLog &Log);
+
+/// Builds the constraint system for \p Log: the generator over
+/// spanRefsOf(Log), plus the Components metadata.
 ScheduleProblem buildScheduleProblem(const RecordingLog &Log);
 
 } // namespace light

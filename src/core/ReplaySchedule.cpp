@@ -23,11 +23,15 @@ ReplaySchedule ReplaySchedule::build(const RecordingLog &Log,
     Span.arg("vars", Problem.System.numVars());
     Span.arg("clauses", Problem.System.clauses().size());
     Span.arg("components", Problem.Components.NumComponents);
+    Span.arg("pairs_decided", Problem.Pairs.Decided);
+    Span.arg("saturation_rounds", Problem.Pairs.Rounds);
     return Problem;
   }();
   obs::Registry &Reg = obs::Registry::global();
   Reg.counter("schedule.order_vars").add(P.System.numVars());
   Reg.counter("schedule.clauses").add(P.System.clauses().size());
+  Reg.counter("schedule.pairs_decided").add(P.Pairs.Decided);
+  Reg.counter("schedule.saturation_rounds").add(P.Pairs.Rounds);
   Reg.gauge("schedule.components")
       .set(static_cast<int64_t>(P.Components.NumComponents));
   std::vector<AccessId> Order;
@@ -37,11 +41,15 @@ ReplaySchedule ReplaySchedule::build(const RecordingLog &Log,
     RS.Error = Stats.failed()
                    ? "schedule solve failed (" + Stats.failReasonStr() +
                          "): " + Stats.Message
-                   : "replay constraint system unsatisfiable (malformed log?)";
+                   : "replay constraint system unsatisfiable (malformed log?)" +
+                         (Stats.Message.empty() ? "" : ": " + Stats.Message);
     RS.Stats = std::move(Stats);
+    RS.Pairs = P.Pairs;
     return RS;
   }
-  return fromSolvedOrder(Log, std::move(Order), std::move(Stats));
+  ReplaySchedule RS = fromSolvedOrder(Log, std::move(Order), std::move(Stats));
+  RS.Pairs = P.Pairs;
+  return RS;
 }
 
 ReplaySchedule ReplaySchedule::fromSolvedOrder(const RecordingLog &Log,

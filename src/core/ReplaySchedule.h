@@ -81,6 +81,9 @@ public:
   /// Solver statistics of the build.
   const smt::SolveResult &solveStats() const { return Stats; }
 
+  /// What constraint generation settled before search (build() only).
+  const PairStats &pairStats() const { return Pairs; }
+
   /// Classifies a dynamic access during replay. For Gated, \p TurnOut gets
   /// the access's position in order(). For reads, \p ExpectedSrcOut gets the
   /// packed source write the read must observe (0 = initial value,
@@ -112,6 +115,7 @@ private:
   bool Satisfiable = false;
   std::string Error;
   smt::SolveResult Stats;
+  PairStats Pairs;
   std::vector<AccessId> Order;
   std::unordered_map<uint64_t, uint32_t> TurnOf; ///< packed access -> index
 

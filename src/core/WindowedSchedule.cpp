@@ -145,6 +145,14 @@ bool WindowedScheduleBuilder::solveWindow(size_t Count) {
   ScheduleProblem P = generateScheduleProblem(Spans);
   Phase.arg("vars", P.System.numVars());
   Phase.arg("clauses", P.System.clauses().size());
+  Phase.arg("pairs_decided", P.Pairs.Decided);
+  Phase.arg("saturation_rounds", P.Pairs.Rounds);
+  Pairs.Pairs += P.Pairs.Pairs;
+  Pairs.Decided += P.Pairs.Decided;
+  Pairs.Rounds += P.Pairs.Rounds;
+  obs::Registry &Reg = obs::Registry::global();
+  Reg.counter("schedule.pairs_decided").add(P.Pairs.Decided);
+  Reg.counter("schedule.saturation_rounds").add(P.Pairs.Rounds);
   std::vector<AccessId> Order;
   smt::SolveResult R = P.solve(Opts.Engine, Opts.Limits, Order);
   Aggregate.Decisions += R.Decisions;
@@ -157,7 +165,8 @@ bool WindowedScheduleBuilder::solveWindow(size_t Count) {
     fail(R.failed()
              ? "window solve failed (" + R.failReasonStr() +
                    "): " + R.Message
-             : "window constraint system unsatisfiable (malformed log?)");
+             : "window constraint system unsatisfiable (malformed log?)" +
+                   (R.Message.empty() ? "" : ": " + R.Message));
     return false;
   }
 

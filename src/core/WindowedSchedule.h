@@ -142,6 +142,10 @@ public:
   /// Aggregated solver statistics across all windows.
   const smt::SolveResult &stats() const { return Aggregate; }
 
+  /// What constraint generation settled before search, summed over the
+  /// windows.
+  const PairStats &pairStats() const { return Pairs; }
+
   /// Total accesses in the solved order so far.
   uint64_t orderSize() const { return OrderCount; }
 
@@ -165,6 +169,7 @@ private:
   WindowTooSmall TooSmall;
   size_t Windows = 0;
   smt::SolveResult Aggregate;
+  PairStats Pairs;
 
   size_t SeenSpans = 0;          ///< spans consumed from the log so far
   std::vector<DepSpan> Pending;  ///< drained spans awaiting their window

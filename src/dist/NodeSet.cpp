@@ -327,7 +327,8 @@ bool NodeSetLoader::solve(MergeResult &R, smt::SolverEngine Engine,
       R.Error = "nothing loaded";
     return false;
   }
-  ScheduleProblem P = buildScheduleProblem(R.Merged);
+  std::vector<SpanVarRefs> Spans = spanRefsOf(R.Merged);
+  ScheduleProblem P = generateScheduleProblem(Spans);
 
   // Cross-node edges: every surviving delivery is ordered after its
   // originating send. Both endpoints are singleton-span anchors, so each
@@ -368,7 +369,8 @@ bool NodeSetLoader::solve(MergeResult &R, smt::SolverEngine Engine,
                   ? "merged solve failed (" + R.Stats.failReasonStr() +
                         "): " + R.Stats.Message
                   : "merged constraint system unsatisfiable: the causal cut "
-                    "admitted inconsistent evidence";
+                    "admitted inconsistent evidence" +
+                        (R.Stats.Message.empty() ? "" : ": " + R.Stats.Message);
     return false;
   }
   obs::Registry::global().counter("dist.cross_edges").add(R.CrossEdges);

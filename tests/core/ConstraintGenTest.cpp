@@ -307,3 +307,114 @@ TEST(ConstraintGen, FrozenSourceGetsNoVariableAndHardensR6) {
   EXPECT_NE(Q.varOf(AccessId(1, 5)), ~0u);
   EXPECT_EQ(Q.System.numVars(), 5u);
 }
+
+namespace {
+
+bool hasBinaryClause(const smt::OrderSystem &Sys) {
+  for (const smt::Clause &C : Sys.clauses())
+    if (C.size() > 1)
+      return true;
+  return false;
+}
+
+} // namespace
+
+TEST(ConstraintGen, PairOrderedByDependenceChainEmitsNoBinaryClause) {
+  // On x, t2 reads (t1,1) at (t2,1) and t3 owns x over [2, 3]. Through y,
+  // t2's next write (t2,2) is read by (t3,1), so the chain
+  // (t2,1) < (t2,2) < (t3,1) < (t3,2) already places t2's interval before
+  // t3's: the R6 pair is decided and never reaches the solver.
+  RecordingLog Log;
+  Log.Spans.push_back(readSpan(loc::var(1), AccessId(1, 1), 2, 1, 1));
+  Log.Spans.push_back(ownSpan(loc::var(1), 3, 2, 3));
+  Log.Spans.push_back(readSpan(loc::var(2), AccessId(2, 2), 3, 1, 1));
+  ScheduleProblem P = buildScheduleProblem(Log);
+  EXPECT_FALSE(hasBinaryClause(P.System)) << P.System.str();
+  EXPECT_EQ(P.Pairs.Pairs, 1u);
+  EXPECT_EQ(P.Pairs.Decided, 1u);
+  EXPECT_TRUE(P.HardCycle.empty());
+  EXPECT_TRUE(smt::solveWithIdl(P.System).sat());
+}
+
+TEST(ConstraintGen, ContradictedDisjunctBecomesExactlyTheOtherUnit) {
+  // (t1,1) -> t2 reads [1, 4] and (t1,2) -> t3 reads [1, 2]. The disjunct
+  // "t3's interval before (t1,1)" is impossible ((t1,1) < (t1,2) < (t3,1)
+  // < (t3,2)), so the pair becomes the unit (t2,4) < (t1,2).
+  RecordingLog Log;
+  Log.Spans.push_back(readSpan(loc::var(1), AccessId(1, 1), 2, 1, 4));
+  Log.Spans.push_back(readSpan(loc::var(1), AccessId(1, 2), 3, 1, 2));
+  ScheduleProblem P = buildScheduleProblem(Log);
+  EXPECT_FALSE(hasBinaryClause(P.System)) << P.System.str();
+  // Three chain edges, two dependences and the decided pair.
+  ASSERT_EQ(P.System.clauses().size(), 6u) << P.System.str();
+  smt::Atom Survivor =
+      smt::Atom::less(P.varOf(AccessId(2, 4)), P.varOf(AccessId(1, 2)));
+  EXPECT_EQ(P.System.clauses().back(), smt::Clause{Survivor});
+  EXPECT_GE(P.Pairs.Rounds, 2u);
+}
+
+TEST(ConstraintGen, CrossingDependencesAreAnExplainedHardCycle) {
+  // t1 reads y from (t2,2) at (t1,1) and t2 reads x from (t1,2) at (t2,1):
+  // each thread reads a write the other makes only afterwards. The hard
+  // edges close a cycle, so the verdict is Unsat without any search, and
+  // the message names both reads.
+  RecordingLog Log;
+  Log.Spans.push_back(readSpan(loc::var(2), AccessId(2, 2), 1, 1, 1));
+  Log.Spans.push_back(readSpan(loc::var(1), AccessId(1, 2), 2, 1, 1));
+  Log.FinalCounters = {0, 2, 2};
+  ScheduleProblem P = buildScheduleProblem(Log);
+  ASSERT_FALSE(P.HardCycle.empty());
+  std::vector<AccessId> Order;
+  smt::SolveResult R = P.solve(smt::SolverEngine::Idl, {}, Order);
+  EXPECT_EQ(R.Outcome, smt::SolveResult::Status::Unsat);
+  EXPECT_EQ(R.Decisions, 0u);
+  EXPECT_EQ(R.Message, P.HardCycle);
+  EXPECT_NE(R.Message.find("(t1,1) reads (t2,2)"), std::string::npos)
+      << R.Message;
+  EXPECT_NE(R.Message.find("(t2,1) reads (t1,2)"), std::string::npos)
+      << R.Message;
+  EXPECT_NE(R.Message.find("(t1,1) precedes (t1,2)"), std::string::npos)
+      << R.Message;
+  // The emitted system is unsatisfiable on its own as well.
+  EXPECT_FALSE(smt::solveWithIdl(P.System).sat());
+
+  ReplaySchedule RS = ReplaySchedule::build(Log);
+  ASSERT_FALSE(RS.ok());
+  EXPECT_NE(RS.error().find("replay constraint system unsatisfiable"),
+            std::string::npos);
+  EXPECT_NE(RS.error().find("(t2,1) reads (t1,2)"), std::string::npos)
+      << RS.error();
+}
+
+TEST(ConstraintGen, RewrittenSourceCycleNamesTheRewrittenSpan) {
+  // The negative control of the reproduce-dense benchmark: point one
+  // span's source at another write of the same location. When that write
+  // comes later on the reading thread itself, the read now precedes its
+  // own source — a hard cycle whose explanation must name the span.
+  RecordingLog Recorded =
+      testprogs::recordRun(testprogs::counterRace(3, 6), 17).Log;
+  bool Found = false;
+  for (size_t I = 0; I < Recorded.Spans.size() && !Found; ++I) {
+    const DepSpan &A = Recorded.Spans[I];
+    if (!A.Src.valid())
+      continue;
+    for (const DepSpan &B : Recorded.Spans) {
+      if (B.Loc != A.Loc || !B.Src.valid() || B.Src == A.Src ||
+          B.Src.Thread != A.Thread || B.Src.Count <= A.Last)
+        continue;
+      RecordingLog Log = Recorded;
+      Log.Spans[I].Src = B.Src;
+      ScheduleProblem P = buildScheduleProblem(Log);
+      ASSERT_FALSE(P.HardCycle.empty()) << Log.Spans[I].str();
+      EXPECT_NE(P.HardCycle.find(Log.Spans[I].str()), std::string::npos)
+          << P.HardCycle;
+      ReplaySchedule RS = ReplaySchedule::build(Log);
+      ASSERT_FALSE(RS.ok());
+      EXPECT_NE(RS.error().find(Log.Spans[I].str()), std::string::npos)
+          << RS.error();
+      Found = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(Found) << "no rewritable source in the recorded log";
+}

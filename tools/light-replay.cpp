@@ -282,8 +282,11 @@ int solveAndReplay(const mir::Program &Prog, const RecordingLog &Log,
     std::fprintf(stderr, "error: %s\n", Plan.error().c_str());
     return 1;
   }
-  std::printf("solved %zu-turn schedule in %.2f ms\n", Plan.order().size(),
-              Plan.solveStats().SolveSeconds * 1000);
+  std::printf("solved %zu-turn schedule in %.2f ms (%llu of %llu "
+              "noninterference pairs decided before search)\n",
+              Plan.order().size(), Plan.solveStats().SolveSeconds * 1000,
+              static_cast<unsigned long long>(Plan.pairStats().Decided),
+              static_cast<unsigned long long>(Plan.pairStats().Pairs));
   return replayWithPlan(Prog, Log, Plan, ExpectBug, Validate);
 }
 
@@ -379,10 +382,13 @@ int streamedSolveAndReplay(const mir::Program &Prog, const std::string &Path,
     }
     printLoadReport(Reader.report());
     std::printf("streamed %zu window(s): solved %llu-turn schedule in "
-                "%.2f ms%s\n",
+                "%.2f ms (%llu of %llu noninterference pairs decided before "
+                "search)%s\n",
                 Builder.windowsSolved(),
                 static_cast<unsigned long long>(Builder.orderSize()),
                 Builder.stats().SolveSeconds * 1000,
+                static_cast<unsigned long long>(Builder.pairStats().Decided),
+                static_cast<unsigned long long>(Builder.pairStats().Pairs),
                 Attempt ? " (after window retries)" : "");
     ReplaySchedule Plan = Builder.takeSchedule(Log);
     return replayWithPlan(Prog, Log, Plan, nullptr,
